@@ -232,6 +232,34 @@ TEST(ResilientEngineTest, RetriedRunMatchesFaultFreeDepthsBitExactly) {
   }
 }
 
+// Pins one faulty run's recovery accounting to exact values, so a change to
+// the attempt loop that keeps depths right but moves a counter, the wasted
+// time or the successful attempts' cost fails here.
+TEST(ResilientEngineTest, FaultAccountingMatchesGoldens) {
+  const graph::Csr graph = MakeRmatGraph(7, 8);
+  const std::vector<graph::VertexId> sources =
+      graph::SampleConnectedSources(graph, 32, 1);
+  EngineOptions options = SmallEngineOptions();
+  auto plan = gpusim::FaultPlan::Parse(
+      "seed=11,devices=4,p_fail=0.02,corrupt=0.1,straggle=1:3");
+  ASSERT_TRUE(plan.ok());
+  options.faults = plan.value();
+  options.retry.max_attempts = 8;
+  options.retry.initial_backoff_ms = 0.0;
+  options.retry.max_backoff_ms = 0.0;
+  Engine engine(&graph, options);
+  auto run = engine.Run(sources);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const EngineResult& got = run.value();
+  EXPECT_EQ(got.retries, 1);
+  EXPECT_EQ(got.transient_faults, 0);
+  EXPECT_EQ(got.corruptions_detected, 1);
+  EXPECT_EQ(got.wasted_sim_seconds, 1.1805145413870247e-05);
+  EXPECT_EQ(got.sim_seconds, 1.5639970171513795e-05);
+  EXPECT_EQ(got.totals.seconds, 1.5639970171513795e-05);
+  EXPECT_EQ(got.totals.mem.load_transactions, 2846u);
+}
+
 TEST(ResilientEngineTest, ExhaustedRetriesSurfaceUnavailable) {
   const graph::Csr graph = MakeSmallGraph();
   EngineOptions options = SmallEngineOptions();
