@@ -6,11 +6,11 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/group_plan.h"
+#include "core/resilient.h"
 #include "ibfs/status_array.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -128,9 +128,7 @@ Result<ClusterRunResult> RunOnCluster(const graph::Csr& graph,
         device.elapsed_seconds();
   };
 
-  const int exec_threads = std::min<int>(
-      device_count, opts.threads == 0 ? ThreadPool::HardwareConcurrency()
-                                      : std::max(1, opts.threads));
+  const int exec_threads = ThreadPool::WorkersFor(opts.threads, device_count);
   if (exec_threads <= 1) {
     for (int d = 0; d < device_count; ++d) run_device(d);
   } else {
@@ -231,14 +229,9 @@ Result<PartitionedRunResult> RunPartitioned(
   }
   obs::MetricsRegistry* metrics =
       observer.metering() ? observer.metrics : nullptr;
-
-  const bool faulty = options.faults.enabled();
-  const int max_attempts = faulty ? options.retry.max_attempts : 1;
   const int max_level = options.traversal.max_level;
 
-  int threads = options.threads == 0 ? ThreadPool::HardwareConcurrency()
-                                     : std::max(1, options.threads);
-  threads = std::min(threads, P);
+  const int threads = ThreadPool::WorkersFor(options.threads, P);
   std::optional<ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
   const auto for_partitions = [&](const std::function<void(int64_t)>& fn) {
@@ -249,58 +242,50 @@ Result<PartitionedRunResult> RunPartitioned(
     }
   };
 
+  // Partition p draws its faults from fleet device p % faults.device_count,
+  // matching the engine's "group g runs on device g % device_count"
+  // convention. One ledger threads through every group, so the fault and
+  // cost accounting folds in the same order as the attempts ran.
+  std::vector<int> device_ids(static_cast<size_t>(P));
+  for (int p = 0; p < P; ++p) {
+    device_ids[static_cast<size_t>(p)] = p % options.faults.device_count;
+  }
+  ResilientOutcome ledger;
+
   for (size_t g = 0; g < groups.size(); ++g) {
     const std::vector<graph::VertexId>& group = groups[g];
     const size_t n = group.size();
-    const uint64_t salt = static_cast<uint64_t>(g);
 
-    Status group_status = Status::OK();
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-      if (attempt > 1) {
-        ++result.retries;
-        const double backoff_ms = options.retry.BackoffMs(salt, attempt);
-        if (metrics != nullptr) {
-          metrics->GetCounter("retry.attempts")->Increment();
-        }
-        if (backoff_ms > 0.0) {
-          std::this_thread::sleep_for(
-              std::chrono::duration<double, std::milli>(backoff_ms));
-        }
-      }
+    // The latest attempt's comm accounting and device clocks, committed to
+    // the result only once the attempt loop reports success.
+    struct AttemptCost {
+      double compute = 0.0;
+      double comm = 0.0;
+      int64_t bytes = 0;
+      int64_t rounds = 0;
+      int64_t steps = 0;
+      std::vector<double> device_seconds;
+    } attempt;
 
-      // Fresh devices per attempt, one per partition; partition p draws its
-      // faults from fleet device p % faults.device_count, matching the
-      // engine's "group g runs on device g % device_count" convention.
-      std::vector<gpusim::Device> devices;
-      devices.reserve(static_cast<size_t>(P));
-      std::vector<gpusim::FaultInjector> injectors;
-      injectors.reserve(static_cast<size_t>(P));
+    // The attempt body: the level loop (expand, exchange, merge).
+    const auto level_loop = [&](std::span<gpusim::Device> devices)
+        -> Result<GroupResult> {
+      attempt = AttemptCost();
       std::vector<gpusim::PhaseId> expand_phase(static_cast<size_t>(P));
       std::vector<gpusim::PhaseId> comm_phase(static_cast<size_t>(P));
       for (int p = 0; p < P; ++p) {
-        devices.emplace_back(options.device);
-        gpusim::Device& device = devices.back();
+        gpusim::Device& device = devices[static_cast<size_t>(p)];
         device.SetObserver(observer.WithTrack(kPartitionPidBase + p, 0));
         expand_phase[static_cast<size_t>(p)] =
             device.InternPhase("part_expand");
         comm_phase[static_cast<size_t>(p)] =
             device.InternPhase("part_exchange");
-        if (faulty) {
-          injectors.emplace_back(options.faults,
-                                 p % options.faults.device_count,
-                                 salt * 131ULL + static_cast<uint64_t>(attempt));
-        }
-      }
-      if (faulty) {
-        for (int p = 0; p < P; ++p) {
-          devices[static_cast<size_t>(p)].SetFaultInjector(
-              &injectors[static_cast<size_t>(p)]);
-        }
       }
 
-      std::vector<std::vector<uint8_t>> depths(
-          n, std::vector<uint8_t>(static_cast<size_t>(vertices),
-                                  kUnvisitedDepth));
+      GroupResult group_result;
+      std::vector<std::vector<uint8_t>>& depths = group_result.depths;
+      depths.assign(n, std::vector<uint8_t>(static_cast<size_t>(vertices),
+                                            kUnvisitedDepth));
       std::vector<std::vector<uint64_t>> frontier(
           n, std::vector<uint64_t>(static_cast<size_t>(words), 0));
       for (size_t j = 0; j < n; ++j) {
@@ -315,15 +300,7 @@ Result<PartitionedRunResult> RunPartitioned(
           static_cast<size_t>(P),
           std::vector<std::vector<uint64_t>>(
               n, std::vector<uint64_t>(static_cast<size_t>(words), 0)));
-
-      double attempt_compute = 0.0;
-      double attempt_comm = 0.0;
-      int64_t attempt_bytes = 0;
-      int64_t attempt_rounds = 0;
-      int64_t attempt_steps = 0;
       std::vector<double> level_seconds(static_cast<size_t>(P), 0.0);
-      bool device_faulted = false;
-
       for (int level = 0; level < max_level; ++level) {
         bool any = false;
         for (size_t j = 0; j < n && !any; ++j) {
@@ -398,9 +375,9 @@ Result<PartitionedRunResult> RunPartitioned(
         for_partitions(expand);
 
         // Level-synchronous: the step takes as long as the slowest rank.
-        attempt_compute +=
+        attempt.compute +=
             *std::max_element(level_seconds.begin(), level_seconds.end());
-        ++attempt_steps;
+        ++attempt.steps;
 
         // Frontier exchange: every rank ends the level holding the merged
         // bitmap, priced once and charged to every device's timeline (they
@@ -413,9 +390,9 @@ Result<PartitionedRunResult> RunPartitioned(
           devices[static_cast<size_t>(p)].ChargeCommSeconds(
               comm_phase[static_cast<size_t>(p)], cost.seconds);
         }
-        attempt_comm += cost.seconds;
-        attempt_bytes += cost.bytes_on_wire;
-        attempt_rounds += cost.rounds;
+        attempt.comm += cost.seconds;
+        attempt.bytes += cost.bytes_on_wire;
+        attempt.rounds += cost.rounds;
 
         // Host-side merge in partition order; loop bound level < max_level
         // keeps the deepest assigned depth at max_level, exactly like the
@@ -447,83 +424,41 @@ Result<PartitionedRunResult> RunPartitioned(
 
         // A fault latches on the device and surfaces at the next sync
         // point — the end of the level — where the attempt is abandoned.
-        device_faulted = false;
-        for (int p = 0; p < P; ++p) {
-          device_faulted =
-              device_faulted || devices[static_cast<size_t>(p)].faulted();
-        }
-        if (device_faulted) break;
-      }
-
-      Status attempt_status = Status::OK();
-      for (int p = 0; p < P && attempt_status.ok(); ++p) {
-        if (devices[static_cast<size_t>(p)].faulted()) {
-          attempt_status = devices[static_cast<size_t>(p)].fault_status();
-        }
-      }
-      if (attempt_status.ok() && faulty && !depths.empty()) {
-        // Transfer integrity, as in the resilient executor: checksum the
-        // payload "on the devices", let any rank's injector corrupt the
-        // copy back, and quarantine the attempt on a mismatch.
-        const uint64_t device_checksum = Fnv1aOfDepths(depths);
-        for (int p = 0; p < P; ++p) {
-          if (injectors[static_cast<size_t>(p)].ShouldCorruptTransfer()) {
-            injectors[static_cast<size_t>(p)].CorruptDepths(&depths);
-          }
-        }
-        if (Fnv1aOfDepths(depths) != device_checksum) {
-          attempt_status = Status::DataLoss(
-              "partitioned depth payload checksum mismatch (injected "
-              "transfer corruption)");
-          ++result.corruptions_detected;
-          if (metrics != nullptr) {
-            metrics->GetCounter("fault.corruptions_detected")->Increment();
-          }
+        if (std::any_of(devices.begin(), devices.end(),
+                        [](const gpusim::Device& d) { return d.faulted(); })) {
+          break;
         }
       }
 
-      if (attempt_status.ok()) {
-        result.compute_seconds += attempt_compute;
-        result.comm_seconds += attempt_comm;
-        result.bytes_on_wire += attempt_bytes;
-        result.comm_rounds += attempt_rounds;
-        result.supersteps += attempt_steps;
-        for (int p = 0; p < P; ++p) {
-          const gpusim::Device& device = devices[static_cast<size_t>(p)];
-          result.device_seconds[static_cast<size_t>(p)] +=
-              device.elapsed_seconds();
-          result.totals.Add(device.totals());
-          for (const auto& [name, stats] : device.phases()) {
-            result.phases[name].Add(stats);
-          }
-        }
-        GroupResult group_result;
-        if (options.keep_depths) group_result.depths = std::move(depths);
-        result.groups.push_back(std::move(group_result));
-        result.group_sources.push_back(group);
-        group_status = Status::OK();
-        break;
+      for (const gpusim::Device& device : devices) {
+        attempt.device_seconds.push_back(device.elapsed_seconds());
       }
+      return group_result;
+    };
 
-      group_status = attempt_status;
-      if (attempt_status.code() == StatusCode::kUnavailable) {
-        ++result.transient_faults;
-      }
-      for (int p = 0; p < P; ++p) {
-        result.wasted_sim_seconds +=
-            devices[static_cast<size_t>(p)].elapsed_seconds();
-      }
-      if (metrics != nullptr) {
-        metrics->GetCounter("fault.failed_attempts")->Increment();
-      }
+    RunAttempts(options, device_ids, static_cast<uint64_t>(g), observer,
+                level_loop, &ledger);
+    IBFS_RETURN_NOT_OK(ledger.status);
+    result.compute_seconds += attempt.compute;
+    result.comm_seconds += attempt.comm;
+    result.bytes_on_wire += attempt.bytes;
+    result.comm_rounds += attempt.rounds;
+    result.supersteps += attempt.steps;
+    for (int p = 0; p < P; ++p) {
+      result.device_seconds[static_cast<size_t>(p)] +=
+          attempt.device_seconds[static_cast<size_t>(p)];
     }
-    if (!group_status.ok()) {
-      if (metrics != nullptr) {
-        metrics->GetCounter("retry.exhausted")->Increment();
-      }
-      return group_status;
-    }
+    GroupResult group_result = std::move(ledger.result);
+    if (!options.keep_depths) group_result.depths = {};
+    result.groups.push_back(std::move(group_result));
+    result.group_sources.push_back(group);
   }
+  result.retries = ledger.attempts - static_cast<int64_t>(groups.size());
+  result.transient_faults = ledger.transient_faults;
+  result.corruptions_detected = ledger.corruptions_detected;
+  result.wasted_sim_seconds = ledger.wasted_sim_seconds;
+  result.totals = ledger.totals;
+  result.phases = std::move(ledger.phases);
 
   result.sim_seconds = result.compute_seconds + result.comm_seconds;
   if (result.sim_seconds > 0.0) {

@@ -123,9 +123,10 @@ struct PartitionedRunResult {
 /// and charged to every device's timeline), and the host merges them in
 /// partition order. Merging is order-deterministic, so depths are
 /// bit-identical to the unpartitioned engine regardless of P, schedule, or
-/// host threads. Fault injection follows the engine's convention (partition
-/// p draws from fleet device p % faults.device_count) with the same
-/// retry/backoff and transfer-checksum flow as the resilient executor.
+/// host threads. The expansion is top-down only and ignores
+/// options.strategy. Each group is one unit of the shared attempt loop
+/// (RunAttempts in core/resilient.h) with P fresh devices per attempt;
+/// partition p draws its faults from fleet device p % faults.device_count.
 Result<PartitionedRunResult> RunPartitioned(
     const graph::Csr& graph, std::span<const graph::VertexId> sources,
     const EngineOptions& options, const PartitionRunOptions& run);

@@ -24,12 +24,13 @@ obs::ReportPhase ToReportPhase(const gpusim::ProfileRow& row) {
   return phase;
 }
 
-}  // namespace
-
-obs::RunReport BuildRunReport(const std::string& graph_name,
-                              const graph::Csr& graph,
-                              const EngineOptions& options, int64_t instances,
-                              const EngineResult& result) {
+// Workload header and profile table, common to every run report.
+obs::RunReport ReportHeader(const std::string& graph_name,
+                            const graph::Csr& graph,
+                            const EngineOptions& options, int64_t instances,
+                            double sim_seconds, double wall_seconds,
+                            double teps, const gpusim::PhaseMap& phases,
+                            const gpusim::KernelStats& totals) {
   obs::RunReport report;
   report.graph = graph_name;
   report.vertex_count = graph.vertex_count();
@@ -38,10 +39,29 @@ obs::RunReport BuildRunReport(const std::string& graph_name,
   report.grouping = GroupingPolicyName(options.grouping);
   report.instances = instances;
   report.group_size = options.group_size;
+  report.sim_seconds = sim_seconds;
+  report.wall_seconds = wall_seconds;
+  report.teps = teps;
+  for (const gpusim::ProfileRow& row :
+       gpusim::ProfileRows(phases, totals, sim_seconds)) {
+    if (row.phase == gpusim::kTotalRowName) {
+      report.totals = ToReportPhase(row);
+    } else {
+      report.phases.push_back(ToReportPhase(row));
+    }
+  }
+  return report;
+}
 
-  report.sim_seconds = result.sim_seconds;
-  report.wall_seconds = result.wall_seconds;
-  report.teps = result.teps;
+}  // namespace
+
+obs::RunReport BuildRunReport(const std::string& graph_name,
+                              const graph::Csr& graph,
+                              const EngineOptions& options, int64_t instances,
+                              const EngineResult& result) {
+  obs::RunReport report = ReportHeader(
+      graph_name, graph, options, instances, result.sim_seconds,
+      result.wall_seconds, result.teps, result.phases, result.totals);
   report.sharing_ratio = result.SharingRatio();
   report.sharing_ratio_top_down = result.SharingRatio(0);
   report.sharing_ratio_bottom_up = result.SharingRatio(1);
@@ -77,16 +97,6 @@ obs::RunReport BuildRunReport(const std::string& graph_name,
     }
     report.groups.push_back(std::move(out));
   }
-
-  std::vector<gpusim::ProfileRow> rows =
-      gpusim::ProfileRows(result.phases, result.totals, result.sim_seconds);
-  for (gpusim::ProfileRow& row : rows) {
-    if (row.phase == gpusim::kTotalRowName) {
-      report.totals = ToReportPhase(row);
-    } else {
-      report.phases.push_back(ToReportPhase(row));
-    }
-  }
   return report;
 }
 
@@ -95,19 +105,9 @@ obs::RunReport BuildPartitionedRunReport(const std::string& graph_name,
                                          const EngineOptions& options,
                                          int64_t instances,
                                          const PartitionedRunResult& result) {
-  obs::RunReport report;
-  report.graph = graph_name;
-  report.vertex_count = graph.vertex_count();
-  report.edge_count = graph.edge_count();
-  report.strategy = StrategyName(options.strategy);
-  report.grouping = GroupingPolicyName(options.grouping);
-  report.instances = instances;
-  report.group_size = options.group_size;
-
-  report.sim_seconds = result.sim_seconds;
-  report.wall_seconds = result.wall_seconds;
-  report.teps = result.teps;
-
+  obs::RunReport report = ReportHeader(
+      graph_name, graph, options, instances, result.sim_seconds,
+      result.wall_seconds, result.teps, result.phases, result.totals);
   report.groups.reserve(result.group_sources.size());
   for (size_t g = 0; g < result.group_sources.size(); ++g) {
     obs::ReportGroup out;
@@ -118,16 +118,6 @@ obs::RunReport BuildPartitionedRunReport(const std::string& graph_name,
       out.sources.push_back(static_cast<int64_t>(s));
     }
     report.groups.push_back(std::move(out));
-  }
-
-  std::vector<gpusim::ProfileRow> rows =
-      gpusim::ProfileRows(result.phases, result.totals, result.sim_seconds);
-  for (gpusim::ProfileRow& row : rows) {
-    if (row.phase == gpusim::kTotalRowName) {
-      report.totals = ToReportPhase(row);
-    } else {
-      report.phases.push_back(ToReportPhase(row));
-    }
   }
   return report;
 }

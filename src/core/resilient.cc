@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "util/checksum.h"
@@ -19,21 +21,18 @@ std::span<const double> BackoffBoundsMs() {
 
 }  // namespace
 
-ResilientOutcome ExecuteGroupResilient(const Engine& engine,
-                                       std::span<const graph::VertexId> group,
-                                       int device_id, uint64_t salt,
-                                       const obs::Observer& observer) {
-  const EngineOptions& options = engine.options();
+void RunAttempts(const EngineOptions& options, std::span<const int> device_ids,
+                 uint64_t salt, const obs::Observer& observer,
+                 const AttemptBody& body, ResilientOutcome* outcome) {
   const bool faulty = options.faults.enabled();
   const int max_attempts = faulty ? options.retry.max_attempts : 1;
+  const size_t k = device_ids.size();
   obs::MetricsRegistry* metrics =
       observer.metering() ? observer.metrics : nullptr;
 
-  ResilientOutcome outcome;
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     if (attempt > 1) {
       const double backoff_ms = options.retry.BackoffMs(salt, attempt);
-      outcome.backoff_ms += backoff_ms;
       if (metrics != nullptr) {
         metrics->GetCounter("retry.attempts")->Increment();
         metrics->GetHistogram("retry.backoff_ms", BackoffBoundsMs())
@@ -44,64 +43,84 @@ ResilientOutcome ExecuteGroupResilient(const Engine& engine,
             std::chrono::duration<double, std::milli>(backoff_ms));
       }
     }
-    ++outcome.attempts;
+    ++outcome->attempts;
 
-    gpusim::Device device(options.device);
-    gpusim::FaultInjector injector(
-        options.faults, device_id,
-        salt * 131ULL + static_cast<uint64_t>(attempt));
-    if (faulty) device.SetFaultInjector(&injector);
+    // Reserved up front: each device keeps a pointer to its injector.
+    std::vector<gpusim::Device> devices;
+    std::vector<gpusim::FaultInjector> injectors;
+    devices.reserve(k);
+    injectors.reserve(k);
+    for (size_t i = 0; i < k; ++i) {
+      devices.emplace_back(options.device);
+      injectors.emplace_back(options.faults, device_ids[i],
+                             salt * 131ULL + static_cast<uint64_t>(attempt));
+      if (faulty) devices.back().SetFaultInjector(&injectors.back());
+    }
 
-    Result<GroupResult> executed = engine.ExecuteGroup(group, &device,
-                                                       observer);
-    Status attempt_status =
-        executed.ok() ? device.fault_status() : executed.status();
+    Result<GroupResult> executed = body(devices);
+    Status attempt_status = executed.status();
+    size_t culprit = 0;
+    for (size_t i = 0; i < k && attempt_status.ok(); ++i) {
+      attempt_status = devices[i].fault_status();
+      culprit = i;
+    }
 
-    GroupResult result;
     if (attempt_status.ok()) {
-      result = std::move(executed).value();
-      // Transfer integrity: the checksum computed "on the device" (before
+      // Transfer integrity: the checksum computed "on the devices" (before
       // the simulated copy back) must match the payload the host received.
       // An injected transfer corruption flips depth words in between, the
       // checksums disagree, and the attempt is quarantined and re-run.
-      if (faulty && !result.depths.empty()) {
-        const uint64_t device_checksum = Fnv1aOfDepths(result.depths);
-        if (injector.ShouldCorruptTransfer()) {
-          injector.CorruptDepths(&result.depths);
+      std::vector<std::vector<uint8_t>>& depths = executed.value().depths;
+      if (faulty && !depths.empty()) {
+        const uint64_t device_checksum = Fnv1aOfDepths(depths);
+        size_t corrupter = k;
+        for (size_t i = 0; i < k; ++i) {
+          if (injectors[i].ShouldCorruptTransfer()) {
+            injectors[i].CorruptDepths(&depths);
+            corrupter = std::min(corrupter, i);
+          }
         }
-        if (Fnv1aOfDepths(result.depths) != device_checksum) {
+        if (Fnv1aOfDepths(depths) != device_checksum) {
+          culprit = corrupter;
           attempt_status = Status::DataLoss(
               "depth payload checksum mismatch on device " +
-              std::to_string(device_id) + " (injected transfer corruption)");
-          ++outcome.corruptions_detected;
+              std::to_string(device_ids[culprit]) +
+              " (injected transfer corruption)");
+          ++outcome->corruptions_detected;
           if (metrics != nullptr) {
             metrics->GetCounter("fault.corruptions_detected")->Increment();
           }
         }
       }
     } else if (attempt_status.code() == StatusCode::kUnavailable) {
-      ++outcome.transient_faults;
+      ++outcome->transient_faults;
     }
 
     if (attempt_status.ok()) {
-      outcome.status = Status::OK();
-      outcome.result = std::move(result);
-      outcome.sim_seconds = device.elapsed_seconds();
-      outcome.totals = device.totals();
-      outcome.phases = device.phases();
-      return outcome;
+      outcome->status = Status::OK();
+      outcome->result = std::move(executed).value();
+      for (const gpusim::Device& device : devices) {
+        outcome->sim_seconds += device.elapsed_seconds();
+        outcome->totals.Add(device.totals());
+        for (const auto& [phase, stats] : device.phases()) {
+          outcome->phases[phase].Add(stats);
+        }
+      }
+      return;
     }
 
-    outcome.status = std::move(attempt_status);
-    outcome.wasted_sim_seconds += device.elapsed_seconds();
+    outcome->status = std::move(attempt_status);
+    for (const gpusim::Device& device : devices) {
+      outcome->wasted_sim_seconds += device.elapsed_seconds();
+    }
     if (metrics != nullptr) {
       metrics->GetCounter("fault.failed_attempts")->Increment();
     }
     if (observer.tracing()) {
       std::vector<obs::TraceArg> instant_args = {
-          obs::Arg("device", static_cast<int64_t>(device_id)),
+          obs::Arg("device", static_cast<int64_t>(device_ids[culprit])),
           obs::Arg("attempt", static_cast<int64_t>(attempt)),
-          obs::Arg("status", outcome.status.ToString())};
+          obs::Arg("status", outcome->status.ToString())};
       if (!observer.context.empty()) {
         instant_args.push_back(obs::Arg("ctx", observer.context));
       }
@@ -112,6 +131,20 @@ ResilientOutcome ExecuteGroupResilient(const Engine& engine,
   if (metrics != nullptr) {
     metrics->GetCounter("retry.exhausted")->Increment();
   }
+}
+
+ResilientOutcome ExecuteGroupResilient(const Engine& engine,
+                                       std::span<const graph::VertexId> group,
+                                       int device_id, uint64_t salt,
+                                       const obs::Observer& observer) {
+  ResilientOutcome outcome;
+  const int device_ids[] = {device_id};
+  RunAttempts(
+      engine.options(), device_ids, salt, observer,
+      [&](std::span<gpusim::Device> devices) {
+        return engine.ExecuteGroup(group, devices.data(), observer);
+      },
+      &outcome);
   return outcome;
 }
 

@@ -2,10 +2,9 @@
 #define IBFS_CORE_RESILIENT_H_
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <mutex>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/engine.h"
@@ -14,23 +13,20 @@
 
 namespace ibfs {
 
-/// Resilient group execution over the fault-injectable device simulator:
-/// one call = up to retry.max_attempts executions of one group, each on a
-/// fresh simulated device carrying a deterministic FaultInjector, with
-/// exponential-backoff-plus-jitter sleeps between attempts and a transfer
-/// checksum that quarantines corrupted payloads (a poisoned attempt counts
-/// as failed and is re-executed). Consumers: Engine::Run's per-group
-/// workers (batch path) and BfsService's executor tasks (online path,
-/// which adds circuit breaking and a CPU fallback on top). See
+/// The one attempt loop over the fault-injectable device simulator, with
+/// three consumers: Engine::Run and BfsService (k = 1 device per attempt,
+/// through ExecuteGroupResilient) and RunPartitioned (k = P). See
 /// docs/RESILIENCE.md.
 
-/// What one resilient group execution did. On final failure `status`
-/// carries the last attempt's error and `result` is empty.
+/// What the attempt loop did. `status` and `result` describe the latest
+/// call (`result` is the payload when `status` is OK). Every other field
+/// accumulates across calls, so one outcome can be the ledger of many units.
 struct ResilientOutcome {
   Status status;
   GroupResult result;
-  /// Simulated seconds / counters of the *successful* attempt only, so
-  /// fault-free timing is unchanged by the retry machinery.
+  /// Simulated seconds / counters of *successful* attempts only, summed
+  /// over their devices in device order, so fault-free timing is unchanged
+  /// by the retry machinery.
   double sim_seconds = 0.0;
   gpusim::KernelStats totals;
   gpusim::PhaseMap phases;
@@ -41,16 +37,27 @@ struct ResilientOutcome {
   int transient_faults = 0;
   /// Transfer corruptions caught by the checksum.
   int corruptions_detected = 0;
-  /// Host milliseconds slept in backoff.
-  double backoff_ms = 0.0;
 };
 
-/// Executes `group` with the engine's strategy on fleet device
-/// `device_id`, retrying per engine.options().retry against
-/// engine.options().faults. `salt` decorrelates the fault/jitter streams
-/// across groups (callers pass a stable per-group value such as the group
-/// index or batch*1000+group). Fault-free fast path: when the plan is
-/// disabled this is exactly one Engine::ExecuteGroup on a fresh device.
+/// One attempt's work on its fresh devices. The loop reads device faults
+/// afterwards and checksums the returned payload's depths.
+using AttemptBody =
+    std::function<Result<GroupResult>(std::span<gpusim::Device> devices)>;
+
+/// Runs `body` up to options.retry.max_attempts times, each on one fresh
+/// device per entry of `device_ids` carrying a FaultInjector for fleet
+/// device device_ids[i], with seeded backoff sleeps in between. An attempt
+/// fails with the first faulted device's status in device order, or with
+/// DataLoss when the transfer checksum catches an injected corruption.
+/// `salt` decorrelates fault/jitter streams across units (callers pass a
+/// stable per-unit value such as the group index or batch*1000+group).
+/// With the fault plan disabled this is exactly one call of `body`.
+void RunAttempts(const EngineOptions& options, std::span<const int> device_ids,
+                 uint64_t salt, const obs::Observer& observer,
+                 const AttemptBody& body, ResilientOutcome* outcome);
+
+/// RunAttempts with k = 1: executes `group` with the engine's strategy on
+/// fleet device `device_id`.
 ResilientOutcome ExecuteGroupResilient(const Engine& engine,
                                        std::span<const graph::VertexId> group,
                                        int device_id, uint64_t salt,

@@ -1,5 +1,6 @@
 #include "graph/io.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -113,6 +114,18 @@ Result<Csr> LoadBinary(const std::string& path) {
   if (!ReadPod(in, &vertices) || !ReadPod(in, &edges) || vertices == 0) {
     return Status::IoError(path + ": corrupt header");
   }
+  // Bound the header's sizes by the bytes the file actually holds before
+  // allocating anything: two offset arrays of V+1 and two id arrays of E.
+  const auto body_start = static_cast<uint64_t>(in.tellg());
+  in.seekg(0, std::ios::end);
+  const uint64_t body_bytes = static_cast<uint64_t>(in.tellg()) - body_start;
+  in.seekg(static_cast<std::streamoff>(body_start));
+  constexpr uint64_t kOffsetPairBytes = 2 * sizeof(EdgeIndex);
+  constexpr uint64_t kIdPairBytes = 2 * sizeof(VertexId);
+  if (vertices >= body_bytes / kOffsetPairBytes ||
+      edges > (body_bytes - (vertices + 1) * kOffsetPairBytes) / kIdPairBytes) {
+    return Status::IoError(path + ": truncated graph data");
+  }
   std::vector<EdgeIndex> offsets;
   std::vector<VertexId> adjacency;
   std::vector<EdgeIndex> in_offsets;
@@ -123,12 +136,16 @@ Result<Csr> LoadBinary(const std::string& path) {
       !ReadVec(in, edges, &in_adjacency)) {
     return Status::IoError(path + ": truncated graph data");
   }
-  if (offsets.front() != 0 || offsets.back() != edges ||
-      in_offsets.front() != 0 || in_offsets.back() != edges) {
-    return Status::IoError(path + ": inconsistent offsets");
+  for (const std::vector<EdgeIndex>* offs : {&offsets, &in_offsets}) {
+    if (offs->front() != 0 || offs->back() != edges ||
+        !std::is_sorted(offs->begin(), offs->end())) {
+      return Status::IoError(path + ": inconsistent offsets");
+    }
   }
-  for (VertexId v : adjacency) {
-    if (v >= vertices) return Status::IoError(path + ": vertex out of range");
+  for (const std::vector<VertexId>* ids : {&adjacency, &in_adjacency}) {
+    for (VertexId v : *ids) {
+      if (v >= vertices) return Status::IoError(path + ": vertex out of range");
+    }
   }
   return Csr(std::move(offsets), std::move(adjacency), std::move(in_offsets),
              std::move(in_adjacency));

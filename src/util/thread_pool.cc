@@ -151,4 +151,10 @@ int ThreadPool::HardwareConcurrency() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+int ThreadPool::WorkersFor(int requested, int64_t work_items) {
+  const int64_t wanted = requested == 0 ? HardwareConcurrency() : requested;
+  return static_cast<int>(
+      std::clamp<int64_t>(wanted, 1, std::max<int64_t>(work_items, 1)));
+}
+
 }  // namespace ibfs

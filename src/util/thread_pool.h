@@ -56,6 +56,11 @@ class ThreadPool {
   /// std::thread::hardware_concurrency with a >= 1 guarantee.
   static int HardwareConcurrency();
 
+  /// Worker count for `work_items` independent items: `requested` threads
+  /// (0 = hardware concurrency), capped at the item count since extra
+  /// workers would only idle. Always >= 1.
+  static int WorkersFor(int requested, int64_t work_items);
+
  private:
   struct Worker {
     std::mutex mu;

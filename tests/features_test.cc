@@ -59,6 +59,33 @@ TEST(BinaryIoTest, RejectsGarbageAndTruncation) {
     ASSERT_EQ(::truncate(path.c_str(), size / 2), 0);
   }
   EXPECT_FALSE(graph::LoadBinary(path).ok());
+
+  // Valid file with one field overwritten: each hostile value must come
+  // back as IoError, never a crash or an abort. Layout: 28-byte header
+  // (magic, version, V, E), then out-offsets, out-ids, in-offsets, in-ids.
+  const auto load_patched = [&](long offset, uint64_t value, size_t width) {
+    EXPECT_TRUE(graph::SaveBinary(g, path).ok());
+    std::FILE* f = std::fopen(path.c_str(), "rb+");
+    std::fseek(f, offset, SEEK_SET);
+    std::fwrite(&value, width, 1, f);
+    std::fclose(f);
+    return graph::LoadBinary(path).status().code();
+  };
+  const long v = static_cast<long>(g.vertex_count());
+  const long e = static_cast<long>(g.edge_count());
+  const long out_offsets = 28;
+  const long in_offsets = out_offsets + (v + 1) * 8 + e * 4;
+  const long in_ids = in_offsets + (v + 1) * 8;
+  // Offset of the last vertex zeroed: the offsets stop being monotone.
+  EXPECT_EQ(load_patched(out_offsets + (v - 1) * 8, 0, 8),
+            StatusCode::kIoError);
+  EXPECT_EQ(load_patched(in_offsets + (v - 1) * 8, 0, 8),
+            StatusCode::kIoError);
+  // An in-adjacency id equal to V.
+  EXPECT_EQ(load_patched(in_ids, static_cast<uint64_t>(v), 4),
+            StatusCode::kIoError);
+  // A header that claims 2^40 vertices on a file of a few hundred bytes.
+  EXPECT_EQ(load_patched(12, uint64_t{1} << 40, 8), StatusCode::kIoError);
   std::remove(path.c_str());
 }
 
