@@ -1,7 +1,6 @@
 #include "core/cluster_engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <functional>
 #include <optional>
@@ -11,7 +10,7 @@
 
 #include "core/group_plan.h"
 #include "core/resilient.h"
-#include "ibfs/status_array.h"
+#include "ibfs/level_program.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/checksum.h"
@@ -176,11 +175,6 @@ Result<PartitionedRunResult> RunPartitioned(
   IBFS_RETURN_NOT_OK(options.Validate());
   const auto wall_start = std::chrono::steady_clock::now();
 
-  Result<graph::Partitioning> parted =
-      graph::PartitionByEdges1D(graph, run.partitions);
-  IBFS_RETURN_NOT_OK(parted.status());
-  const graph::Partitioning& parts = parted.value();
-
   // Same single grouping code path as Engine::Run, so the partitioned run's
   // group structure matches the unpartitioned engine exactly.
   Result<GroupPlan> plan =
@@ -189,35 +183,31 @@ Result<PartitionedRunResult> RunPartitioned(
   const std::vector<std::vector<graph::VertexId>>& groups =
       plan.value().grouping.groups;
 
-  const int P = parts.partition_count();
-  const int64_t vertices = graph.vertex_count();
-  const int64_t words = (vertices + 63) / 64;
-
   gpusim::LinkSpec link{options.device.link_bandwidth_gbps,
                         options.device.link_latency_us};
   if (run.link_gbps > 0.0) link.bandwidth_gbps = run.link_gbps;
   if (run.link_us >= 0.0) link.latency_us = run.link_us;
 
-  // Exchange payload: each rank ships the bitmap words covering its owned
-  // range, padded to the widest partition's span — collectives move
-  // symmetric slices, so the fleet pays for the worst rank.
-  int64_t max_range_words = 0;
-  for (const graph::GraphPartition& part : parts.parts) {
-    const int64_t wbeg = part.range.begin / 64;
-    const int64_t wend = (static_cast<int64_t>(part.range.end) + 63) / 64;
-    max_range_words = std::max(max_range_words, wend - wbeg);
-  }
-
   PartitionedRunResult result;
-  result.partitions = P;
   result.schedule = run.schedule;
   result.link = link;
-  result.edge_imbalance = parts.EdgeImbalance();
-  result.device_seconds.assign(static_cast<size_t>(P), 0.0);
-  for (const graph::GraphPartition& part : parts.parts) {
-    result.partition_vertices.push_back(part.range.size());
-    result.partition_edges.push_back(part.local.edge_count());
+  // Partitions run on views of `graph` (owned ranges), so the cut's local
+  // CSR copies are dropped as soon as its shape is recorded.
+  std::vector<graph::VertexRange> owned;
+  {
+    Result<graph::Partitioning> parted =
+        graph::PartitionByEdges1D(graph, run.partitions);
+    IBFS_RETURN_NOT_OK(parted.status());
+    result.edge_imbalance = parted.value().EdgeImbalance();
+    for (const graph::GraphPartition& part : parted.value().parts) {
+      owned.push_back(part.range);
+      result.partition_vertices.push_back(part.range.size());
+      result.partition_edges.push_back(part.local.edge_count());
+    }
   }
+  const int P = static_cast<int>(owned.size());
+  result.partitions = P;
+  result.device_seconds.assign(static_cast<size_t>(P), 0.0);
 
   const obs::Observer& observer = options.observer;
   if (observer.tracing()) {
@@ -229,18 +219,22 @@ Result<PartitionedRunResult> RunPartitioned(
   }
   obs::MetricsRegistry* metrics =
       observer.metering() ? observer.metrics : nullptr;
-  const int max_level = options.traversal.max_level;
+  // The engine's traversal settings; level spans go to partition 0's track.
+  TraversalOptions traversal = options.traversal;
+  traversal.record_depths = options.keep_depths;
+  traversal.observer = observer.WithTrack(kPartitionPidBase, 0);
 
   const int threads = ThreadPool::WorkersFor(options.threads, P);
   std::optional<ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
-  const auto for_partitions = [&](const std::function<void(int64_t)>& fn) {
-    if (pool.has_value()) {
-      pool->ParallelFor(P, fn);
-    } else {
-      for (int p = 0; p < P; ++p) fn(p);
-    }
-  };
+  const ForEachPartition for_partitions =
+      [&](const std::function<void(int64_t)>& fn) {
+        if (pool.has_value()) {
+          pool->ParallelFor(P, fn);
+        } else {
+          for (int p = 0; p < P; ++p) fn(p);
+        }
+      };
 
   // Partition p draws its faults from fleet device p % faults.device_count,
   // matching the engine's "group g runs on device g % device_count"
@@ -254,7 +248,6 @@ Result<PartitionedRunResult> RunPartitioned(
 
   for (size_t g = 0; g < groups.size(); ++g) {
     const std::vector<graph::VertexId>& group = groups[g];
-    const size_t n = group.size();
 
     // The latest attempt's comm accounting and device clocks, committed to
     // the result only once the attempt loop reports success.
@@ -267,123 +260,46 @@ Result<PartitionedRunResult> RunPartitioned(
       std::vector<double> device_seconds;
     } attempt;
 
-    // The attempt body: the level loop (expand, exchange, merge).
+    // The attempt body: the strategy's level program over the P views,
+    // stepped in lockstep.
     const auto level_loop = [&](std::span<gpusim::Device> devices)
         -> Result<GroupResult> {
       attempt = AttemptCost();
-      std::vector<gpusim::PhaseId> expand_phase(static_cast<size_t>(P));
       std::vector<gpusim::PhaseId> comm_phase(static_cast<size_t>(P));
       for (int p = 0; p < P; ++p) {
         gpusim::Device& device = devices[static_cast<size_t>(p)];
         device.SetObserver(observer.WithTrack(kPartitionPidBase + p, 0));
-        expand_phase[static_cast<size_t>(p)] =
-            device.InternPhase("part_expand");
-        comm_phase[static_cast<size_t>(p)] =
-            device.InternPhase("part_exchange");
-      }
-
-      GroupResult group_result;
-      std::vector<std::vector<uint8_t>>& depths = group_result.depths;
-      depths.assign(n, std::vector<uint8_t>(static_cast<size_t>(vertices),
-                                            kUnvisitedDepth));
-      std::vector<std::vector<uint64_t>> frontier(
-          n, std::vector<uint64_t>(static_cast<size_t>(words), 0));
-      for (size_t j = 0; j < n; ++j) {
-        const graph::VertexId src = group[j];
-        depths[j][src] = 0;
-        frontier[j][src / 64] |= uint64_t{1} << (src % 64);
-      }
-      // Per-partition discovery bitmaps: partitions write disjoint buffers,
-      // so the parallel expansion is race-free and the host merge below —
-      // always in partition order — is deterministic for every thread count.
-      std::vector<std::vector<std::vector<uint64_t>>> next(
-          static_cast<size_t>(P),
-          std::vector<std::vector<uint64_t>>(
-              n, std::vector<uint64_t>(static_cast<size_t>(words), 0)));
-      std::vector<double> level_seconds(static_cast<size_t>(P), 0.0);
-      for (int level = 0; level < max_level; ++level) {
-        bool any = false;
-        for (size_t j = 0; j < n && !any; ++j) {
-          for (int64_t w = 0; w < words; ++w) {
-            if (frontier[j][static_cast<size_t>(w)] != 0) {
-              any = true;
-              break;
-            }
-          }
+        if (P > 1) {
+          comm_phase[static_cast<size_t>(p)] =
+              device.InternPhase("part_exchange");
         }
-        if (!any) break;
+      }
+      Result<std::unique_ptr<LevelProgram>> program = NewLevelProgram(
+          options.strategy, graph, group, traversal, owned, devices);
+      IBFS_RETURN_NOT_OK(program.status());
 
-        const auto expand = [&](int64_t pi) {
-          const auto p = static_cast<size_t>(pi);
-          const graph::GraphPartition& part = parts.parts[p];
-          gpusim::Device& device = devices[p];
-          const double mark = device.elapsed_seconds();
-          gpusim::KernelScope scope = device.BeginKernel(expand_phase[p]);
-          const int64_t wbeg = part.range.begin / 64;
-          const int64_t wend =
-              (static_cast<int64_t>(part.range.end) + 63) / 64;
-          for (size_t j = 0; j < n; ++j) {
-            // One coalesced sweep over the owned slice of instance j's
-            // frontier bitmap, then one work item per frontier vertex.
-            scope.LoadContiguous(wbeg, wend - wbeg, 8);
-            scope.BulkCompute(wend - wbeg, 1);
-            std::vector<uint64_t>& out = next[p][j];
-            const std::vector<uint64_t>& front = frontier[j];
-            const std::vector<uint8_t>& depth = depths[j];
-            for (int64_t w = wbeg; w < wend; ++w) {
-              uint64_t word = front[static_cast<size_t>(w)];
-              if (word == 0) continue;
-              // Boundary words can carry neighbors' bits; mask to owned.
-              if (w == wbeg && part.range.begin % 64 != 0) {
-                word &= ~uint64_t{0} << (part.range.begin % 64);
-              }
-              if (w == wend - 1 && part.range.end % 64 != 0) {
-                word &= (uint64_t{1} << (part.range.end % 64)) - 1;
-              }
-              while (word != 0) {
-                const int bit = std::countr_zero(word);
-                word &= word - 1;
-                const int64_t v = w * 64 + bit;
-                const int64_t r = v - part.range.begin;
-                scope.BeginItem();
-                scope.LoadContiguous(
-                    r, 2, static_cast<int>(sizeof(graph::EdgeIndex)));
-                const std::span<const graph::VertexId> adj =
-                    part.local.OutNeighbors(r);
-                scope.LoadContiguous(
-                    static_cast<int64_t>(part.local.row_offsets
-                                             [static_cast<size_t>(r)]),
-                    static_cast<int64_t>(adj.size()),
-                    static_cast<int>(sizeof(graph::VertexId)));
-                scope.Compute(static_cast<int64_t>(adj.size()));
-                for (const graph::VertexId u : adj) {
-                  if (depth[u] != kUnvisitedDepth) continue;
-                  uint64_t& nw = out[u / 64];
-                  const uint64_t ubit = uint64_t{1} << (u % 64);
-                  if ((nw & ubit) == 0) {
-                    nw |= ubit;
-                    scope.Atomic(1);
-                  }
-                }
-                scope.EndItem();
-              }
-            }
-          }
-          scope.End();
-          level_seconds[p] = device.elapsed_seconds() - mark;
-        };
-        for_partitions(expand);
-
-        // Level-synchronous: the step takes as long as the slowest rank.
-        attempt.compute +=
-            *std::max_element(level_seconds.begin(), level_seconds.end());
-        ++attempt.steps;
-
-        // Frontier exchange: every rank ends the level holding the merged
-        // bitmap, priced once and charged to every device's timeline (they
-        // sit synchronized in the collective). Zero-cost at P = 1.
-        const int64_t bytes_per_rank =
-            max_range_words * 8 * static_cast<int64_t>(n);
+      // Level-synchronous: every exchange is a barrier, so the compute
+      // clock advances to the slowest rank's kernel time; idle[p] is how
+      // long rank p has waited so far. Comm is charged to every rank alike
+      // (they sit synchronized in the collective) and stays out of the
+      // compute clock. With one partition the clock is the device's own.
+      std::vector<double> idle(static_cast<size_t>(P), 0.0);
+      const auto barrier = [&] {
+        double clock = 0.0;
+        for (int p = 0; p < P; ++p) {
+          clock = std::max(clock, devices[static_cast<size_t>(p)]
+                                          .kernel_seconds() +
+                                      idle[static_cast<size_t>(p)]);
+        }
+        for (int p = 0; p < P; ++p) {
+          idle[static_cast<size_t>(p)] =
+              clock - devices[static_cast<size_t>(p)].kernel_seconds();
+        }
+        attempt.compute = clock;
+      };
+      const ExchangeHook exchange = [&](int64_t bytes_per_rank) {
+        if (P == 1) return;
+        barrier();
         const gpusim::CommCost cost = gpusim::FrontierExchangeCost(
             run.schedule, P, bytes_per_rank, link);
         for (int p = 0; p < P; ++p) {
@@ -393,35 +309,11 @@ Result<PartitionedRunResult> RunPartitioned(
         attempt.comm += cost.seconds;
         attempt.bytes += cost.bytes_on_wire;
         attempt.rounds += cost.rounds;
-
-        // Host-side merge in partition order; loop bound level < max_level
-        // keeps the deepest assigned depth at max_level, exactly like the
-        // single-device runners.
-        const auto next_depth = static_cast<uint8_t>(level + 1);
-        for (size_t j = 0; j < n; ++j) {
-          std::vector<uint8_t>& depth = depths[j];
-          std::vector<uint64_t>& front = frontier[j];
-          for (int64_t w = 0; w < words; ++w) {
-            const auto wi = static_cast<size_t>(w);
-            uint64_t merged = 0;
-            for (int p = 0; p < P; ++p) {
-              merged |= next[static_cast<size_t>(p)][j][wi];
-              next[static_cast<size_t>(p)][j][wi] = 0;
-            }
-            uint64_t fresh = 0;
-            while (merged != 0) {
-              const int bit = std::countr_zero(merged);
-              merged &= merged - 1;
-              const size_t u = wi * 64 + static_cast<size_t>(bit);
-              if (depth[u] == kUnvisitedDepth) {
-                depth[u] = next_depth;
-                fresh |= uint64_t{1} << bit;
-              }
-            }
-            front[wi] = fresh;
-          }
-        }
-
+      };
+      LevelProgram& levels = *program.value();
+      while (!levels.finished()) {
+        levels.Step(for_partitions, exchange);
+        ++attempt.steps;
         // A fault latches on the device and surfaces at the next sync
         // point — the end of the level — where the attempt is abandoned.
         if (std::any_of(devices.begin(), devices.end(),
@@ -429,11 +321,11 @@ Result<PartitionedRunResult> RunPartitioned(
           break;
         }
       }
-
+      barrier();
       for (const gpusim::Device& device : devices) {
         attempt.device_seconds.push_back(device.elapsed_seconds());
       }
-      return group_result;
+      return levels.Finish();
     };
 
     RunAttempts(options, device_ids, static_cast<uint64_t>(g), observer,
@@ -448,9 +340,7 @@ Result<PartitionedRunResult> RunPartitioned(
       result.device_seconds[static_cast<size_t>(p)] +=
           attempt.device_seconds[static_cast<size_t>(p)];
     }
-    GroupResult group_result = std::move(ledger.result);
-    if (!options.keep_depths) group_result.depths = {};
-    result.groups.push_back(std::move(group_result));
+    result.groups.push_back(std::move(ledger.result));
     result.group_sources.push_back(group);
   }
   result.retries = ledger.attempts - static_cast<int64_t>(groups.size());

@@ -100,8 +100,9 @@ struct PartitionedRunResult {
   std::vector<double> device_seconds;
 
   /// Device counter totals and per-phase aggregates summed over every
-  /// partition's successful attempts ("part_expand" kernels plus
-  /// "part_exchange" comm entries) — feeds the run report's profile table.
+  /// partition's successful attempts (the strategy's td_inspect /
+  /// bu_inspect / fq_gen kernels plus "part_exchange" comm entries when
+  /// P > 1) — feeds the run report's profile table.
   gpusim::KernelStats totals;
   gpusim::PhaseMap phases;
 
@@ -117,16 +118,18 @@ struct PartitionedRunResult {
 /// Runs the workload 1D-partitioned over `run.partitions` simulated devices:
 /// sources are grouped through GroupSources (the same single code path
 /// Engine::Run plans through, so groups match the unpartitioned engine
-/// exactly), then each group executes level-synchronously — every partition
-/// expands its owned slice of the frontier against its local CSR, the
-/// per-partition discoveries are exchanged (priced by FrontierExchangeCost
-/// and charged to every device's timeline), and the host merges them in
-/// partition order. Merging is order-deterministic, so depths are
-/// bit-identical to the unpartitioned engine regardless of P, schedule, or
-/// host threads. The expansion is top-down only and ignores
-/// options.strategy. Each group is one unit of the shared attempt loop
-/// (RunAttempts in core/resilient.h) with P fresh devices per attempt;
-/// partition p draws its faults from fleet device p % faults.device_count.
+/// exactly), then each group runs options.strategy's own level program
+/// (NewLevelProgram) over P partition views in lockstep: every partition
+/// runs the strategy's inspection kernel on its owned share of the level,
+/// the exchange merges the discoveries into the one shared status array in
+/// partition order (priced by FrontierExchangeCost on the strategy's
+/// state and charged to every device's timeline), and every partition
+/// runs fq_gen over its owned rows. Depths are bit-identical to the
+/// unpartitioned engine regardless of P, schedule, or host threads, and at
+/// P = 1 so are the simulated seconds, counters and phases. Each group is
+/// one unit of the shared attempt loop (RunAttempts in core/resilient.h)
+/// with P fresh devices per attempt; partition p draws its faults from
+/// fleet device p % faults.device_count.
 Result<PartitionedRunResult> RunPartitioned(
     const graph::Csr& graph, std::span<const graph::VertexId> sources,
     const EngineOptions& options, const PartitionRunOptions& run);

@@ -172,6 +172,7 @@ void Device::FinishKernel(KernelScope* scope) {
   }
 
   elapsed_seconds_ += seconds;
+  kernel_seconds_ += seconds;
   totals_.Add(stats);
   slot.stats->Add(stats);
   --open_kernels_;
@@ -229,6 +230,7 @@ void Device::ResetStats() {
   IBFS_CHECK(open_kernels_ == 0)
       << "ResetStats with a kernel scope still open";
   elapsed_seconds_ = 0.0;
+  kernel_seconds_ = 0.0;
   totals_ = KernelStats{};
   phases_.clear();
   phase_ids_.clear();

@@ -278,8 +278,12 @@ class Device {
 
   const DeviceSpec& spec() const { return spec_; }
 
-  /// Total simulated seconds across all finished kernels.
+  /// Total simulated seconds across all finished kernels and charged comm.
   double elapsed_seconds() const { return elapsed_seconds_; }
+
+  /// Simulated seconds of the finished kernels alone (no comm): equal to
+  /// elapsed_seconds() on a device that never exchanged.
+  double kernel_seconds() const { return kernel_seconds_; }
 
   /// Counter totals across all finished kernels.
   const KernelStats& totals() const { return totals_; }
@@ -348,6 +352,7 @@ class Device {
 
   DeviceSpec spec_;
   double elapsed_seconds_ = 0.0;
+  double kernel_seconds_ = 0.0;
   KernelStats totals_;
   PhaseMap phases_;
   std::map<std::string, PhaseId, std::less<>> phase_ids_;
