@@ -29,8 +29,10 @@ sections — the fast availability smoke wired into ctest as
 With ``--partition-binary`` it gates ``partition_bench`` against the
 committed ``BENCH_partition.json``: the baseline depth checksum, every
 point's ``checksum_match`` (partitioned depths bit-identical to the
-unpartitioned engine), and the deterministic comm-model outputs
-(compute/comm/sim seconds, bytes on wire, rounds, supersteps) are exact;
+unpartitioned engine), the P = 1 point's ``sim_seconds`` against
+``baseline.sim_seconds`` (at P = 1 the partitioned run is the engine's
+run), and the deterministic comm-model outputs (compute/comm/sim
+seconds, bytes on wire, rounds, supersteps) are exact;
 the comm model's shape is asserted structurally (all-gather comm seconds
 grow monotonically with P, the butterfly beats the all-gather at P >= 4
 on identical byte volume); ``wall_seconds`` is banded.
@@ -297,6 +299,18 @@ def check_partition(args):
                     f"{label}.{key}: fresh {point.get(key)!r} != committed "
                     f"{base.get(key)!r} (deterministic model output drifted)"
                 )
+
+    # Exact: at P = 1 the partitioned run is the engine's own run.
+    baseline_sim = fresh.get("baseline", {}).get("sim_seconds")
+    for point in fresh_points:
+        if point.get("partitions") == 1 and point.get("sim_seconds") != (
+            baseline_sim
+        ):
+            rc = fail(
+                f"partition[P=1,{point.get('schedule')}].sim_seconds "
+                f"{point.get('sim_seconds')!r} != baseline.sim_seconds "
+                f"{baseline_sim!r} (lost engine parity)"
+            )
 
     # Structural shape of the comm model, independent of committed values.
     allgather = sorted(
