@@ -2,11 +2,33 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
 namespace ibfs::graph {
+namespace {
+
+// Most vertices a text graph file may declare or imply per byte of its
+// size. Real edge lists name their vertices densely; without a bound, the
+// 13-byte line "0 4000000000" implies four billion vertices and
+// GraphBuilder aborts allocating their offsets.
+constexpr int64_t kVerticesPerFileByte = 16;
+
+Status CheckVertexBound(const std::string& path, int64_t vertices) {
+  std::error_code ec;
+  const auto bytes = std::filesystem::file_size(path, ec);
+  if (ec) return Status::IoError("cannot stat " + path);
+  if (vertices > kVerticesPerFileByte * static_cast<int64_t>(bytes)) {
+    return Status::IoError(path + ": " + std::to_string(vertices) +
+                           " vertices is too many for a " +
+                           std::to_string(bytes) + "-byte file");
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<Csr> LoadEdgeList(const std::string& path, int64_t vertex_count,
                          bool undirected) {
@@ -35,7 +57,10 @@ Result<Csr> LoadEdgeList(const std::string& path, int64_t vertex_count,
         {static_cast<VertexId>(src), static_cast<VertexId>(dst)});
     max_id = std::max<int64_t>(max_id, static_cast<int64_t>(std::max(src, dst)));
   }
-  if (vertex_count < 0) vertex_count = max_id + 1;
+  if (vertex_count < 0) {
+    vertex_count = max_id + 1;
+    IBFS_RETURN_NOT_OK(CheckVertexBound(path, vertex_count));
+  }
   if (vertex_count <= 0) {
     return Status::InvalidArgument(path + ": no vertices");
   }
@@ -185,6 +210,7 @@ Result<Csr> LoadMatrixMarket(const std::string& path) {
     return Status::IoError(path + ": malformed size line");
   }
   const int64_t n = std::max(rows, cols);
+  IBFS_RETURN_NOT_OK(CheckVertexBound(path, n));
 
   GraphBuilder builder(n);
   for (int64_t e = 0; e < entries; ++e) {

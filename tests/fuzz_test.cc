@@ -2,15 +2,22 @@
 // through every strategy, checked against the structural BFS validator
 // and the reference oracle. Catches crashes and invariant breaks that
 // fixed fixtures miss.
+#include <cstdio>
+#include <fstream>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "baselines/cpu_bfs.h"
 #include "baselines/reference_bfs.h"
 #include "core/validate.h"
 #include "gpusim/device.h"
+#include "gpusim/fault.h"
 #include "graph/builder.h"
+#include "graph/io.h"
 #include "gtest/gtest.h"
 #include "ibfs/runner.h"
+#include "obs/slo.h"
 #include "util/prng.h"
 
 namespace ibfs {
@@ -158,6 +165,154 @@ TEST(FuzzEdgeCasesTest, StarAndCompleteGraphs) {
                                                   result.value().depths[j]));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded byte-mutation fuzzing of the untrusted parsers: every mutant of a
+// valid input must either be rejected with a Status or parse into a value
+// that passes its own checks. A crash, abort or sanitizer report fails.
+
+// Applies 1-4 random byte edits (overwrite, insert, delete, duplicate a
+// run) to `input`.
+std::string Mutate(const std::string& input, Prng* prng) {
+  std::string out = input;
+  const int edits = 1 + static_cast<int>(prng->NextBounded(4));
+  for (int e = 0; e < edits; ++e) {
+    const size_t at = out.empty() ? 0 : prng->NextBounded(out.size());
+    const auto byte = static_cast<char>(prng->NextBounded(256));
+    switch (prng->NextBounded(4)) {
+      case 0:
+        if (!out.empty()) out[at] = byte;
+        break;
+      case 1:
+        out.insert(out.begin() + static_cast<std::ptrdiff_t>(at), byte);
+        break;
+      case 2:
+        if (!out.empty()) out.erase(at, 1);
+        break;
+      default: {
+        const size_t len = 1 + prng->NextBounded(16);
+        out.insert(at, out.substr(at, len));
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+// The structural invariants every loaded graph must hold.
+void ExpectWellFormed(const Csr& g) {
+  const int64_t v = g.vertex_count();
+  ASSERT_GT(v, 0);
+  for (const auto& [offsets, ids] :
+       {std::pair{g.row_offsets(), g.adjacency()},
+        std::pair{g.in_row_offsets(), g.in_adjacency()}}) {
+    ASSERT_EQ(offsets.size(), static_cast<size_t>(v) + 1);
+    ASSERT_EQ(offsets.front(), 0u);
+    ASSERT_EQ(offsets.back(), ids.size());
+    for (size_t i = 1; i < offsets.size(); ++i) {
+      ASSERT_LE(offsets[i - 1], offsets[i]);
+    }
+    for (VertexId id : ids) ASSERT_LT(static_cast<int64_t>(id), v);
+  }
+  EXPECT_EQ(g.adjacency().size(), g.in_adjacency().size());
+}
+
+// Feeds `mutants` mutants of `seed_bytes` to `load` through a temp file.
+void FuzzLoader(const std::string& seed_bytes, uint64_t seed, int mutants,
+                const std::function<Result<Csr>(const std::string&)>& load) {
+  const std::string path = ::testing::TempDir() + "ibfs_fuzz_" +
+                           std::to_string(seed) + ".graph";
+  Prng prng(seed);
+  int accepted = 0;
+  for (int i = 0; i < mutants; ++i) {
+    const std::string bytes = Mutate(seed_bytes, &prng);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    Result<Csr> loaded = load(path);
+    if (loaded.ok()) {
+      ++accepted;
+      SCOPED_TRACE("mutant " + std::to_string(i));
+      ExpectWellFormed(loaded.value());
+    }
+  }
+  std::remove(path.c_str());
+  // The mix must exercise both outcomes.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, mutants);
+}
+
+TEST(FuzzParsersTest, EdgeListMutants) {
+  FuzzLoader("# edges\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n1 5\n", 501, 400,
+             [](const std::string& path) {
+               return graph::LoadEdgeList(path);
+             });
+}
+
+TEST(FuzzParsersTest, MatrixMarketMutants) {
+  FuzzLoader(
+      "%%MatrixMarket matrix coordinate real symmetric\n% c\n"
+      "6 6 5\n1 2 1.0\n2 3 2.5\n3 1 1\n4 5 7\n6 4 0.5\n",
+      502, 400, [](const std::string& path) {
+        return graph::LoadMatrixMarket(path);
+      });
+}
+
+TEST(FuzzParsersTest, BinaryMutants) {
+  const Csr g = FuzzGraph(7);
+  const std::string path = ::testing::TempDir() + "ibfs_fuzz_seed.bin";
+  ASSERT_TRUE(graph::SaveBinary(g, path).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string seed_bytes((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+  in.close();
+  std::remove(path.c_str());
+  FuzzLoader(seed_bytes, 503, 400, [](const std::string& p) {
+    return graph::LoadBinary(p);
+  });
+}
+
+TEST(FuzzParsersTest, FaultPlanMutants) {
+  const std::string spec =
+      "seed=7,devices=4,p_fail=0.1,perm=1,straggle=2:8,corrupt=0.05";
+  Prng prng(504);
+  int accepted = 0;
+  for (int i = 0; i < 600; ++i) {
+    const std::string mutant = Mutate(spec, &prng);
+    auto plan = gpusim::FaultPlan::Parse(mutant);
+    if (!plan.ok()) continue;
+    ++accepted;
+    SCOPED_TRACE(mutant);
+    EXPECT_TRUE(plan.value().Validate().ok());
+    // The display form parses back to the same plan.
+    auto again = gpusim::FaultPlan::Parse(plan.value().ToString());
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again.value().ToString(), plan.value().ToString());
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, 600);
+}
+
+TEST(FuzzParsersTest, SloSpecMutants) {
+  Prng prng(505);
+  int accepted = 0;
+  for (int i = 0; i < 600; ++i) {
+    const std::string mutant = Mutate("interactive:250:0.99", &prng);
+    auto spec = obs::SloSpec::Parse(mutant);
+    if (!spec.ok()) continue;
+    ++accepted;
+    SCOPED_TRACE(mutant);
+    EXPECT_GT(spec.value().objective_ms, 0.0);
+    EXPECT_GT(spec.value().target, 0.0);
+    EXPECT_LT(spec.value().target, 1.0);
+    auto again = obs::SloSpec::Parse(spec.value().ToString());
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again.value().ToString(), spec.value().ToString());
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, 600);
 }
 
 }  // namespace

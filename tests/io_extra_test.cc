@@ -77,6 +77,22 @@ TEST(MatrixMarketTest, RejectsBadInputs) {
   }
 }
 
+// A declared (MatrixMarket) or implied (edge list) vertex count far past
+// what the file's bytes can describe returns IoError before GraphBuilder
+// allocates, instead of aborting with bad_alloc.
+TEST(MatrixMarketTest, RejectsVertexCountsBeyondTheFileSize) {
+  const std::string huge_mm = WriteTemp(
+      "mm_huge.mtx",
+      "%%MatrixMarket matrix coordinate pattern general\n"
+      "3000000000 3000000000 1\n1 2\n");
+  EXPECT_EQ(graph::LoadMatrixMarket(huge_mm).status().code(),
+            StatusCode::kIoError);
+  const std::string huge_ids = WriteTemp("el_huge.txt", "0 4000000000\n");
+  EXPECT_EQ(graph::LoadEdgeList(huge_ids).status().code(),
+            StatusCode::kIoError);
+  for (const auto& p : {huge_mm, huge_ids}) std::remove(p.c_str());
+}
+
 TEST(ConnectedComponentsTest, LabelsAndSizes) {
   const Csr g = testing::MakeDisconnectedGraph(12);
   const auto cc = graph::ConnectedComponents(g);
