@@ -191,8 +191,7 @@ Result<PartitionedRunResult> RunPartitioned(
   PartitionedRunResult result;
   result.schedule = run.schedule;
   result.link = link;
-  // Partitions run on views of `graph` (owned ranges), so the cut's local
-  // CSR copies are dropped as soon as its shape is recorded.
+  // Partitions run on views of `graph` (owned ranges).
   std::vector<graph::VertexRange> owned;
   {
     Result<graph::Partitioning> parted =
@@ -202,7 +201,7 @@ Result<PartitionedRunResult> RunPartitioned(
     for (const graph::GraphPartition& part : parted.value().parts) {
       owned.push_back(part.range);
       result.partition_vertices.push_back(part.range.size());
-      result.partition_edges.push_back(part.local.edge_count());
+      result.partition_edges.push_back(part.edges);
     }
   }
   const int P = static_cast<int>(owned.size());

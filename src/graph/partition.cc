@@ -2,38 +2,9 @@
 
 #include <algorithm>
 
-#include "util/checksum.h"
 #include "util/logging.h"
 
 namespace ibfs::graph {
-
-uint64_t LocalCsr::TopologyFingerprint() const {
-  uint64_t state = kFnv1aOffsetBasis;
-  const uint64_t v = static_cast<uint64_t>(vertex_count());
-  const uint64_t e = static_cast<uint64_t>(edge_count());
-  state = Fnv1aExtend(state, {reinterpret_cast<const uint8_t*>(&v),
-                              sizeof(v)});
-  state = Fnv1aExtend(state, {reinterpret_cast<const uint8_t*>(&e),
-                              sizeof(e)});
-  state = Fnv1aExtend(state,
-                      {reinterpret_cast<const uint8_t*>(row_offsets.data()),
-                       row_offsets.size() * sizeof(EdgeIndex)});
-  state = Fnv1aExtend(state,
-                      {reinterpret_cast<const uint8_t*>(adjacency.data()),
-                       adjacency.size() * sizeof(VertexId)});
-  return state;
-}
-
-uint64_t GraphPartition::Fingerprint() const {
-  uint64_t state = local.TopologyFingerprint();
-  const uint64_t lo = range.begin;
-  const uint64_t hi = range.end;
-  state = Fnv1aExtend(state, {reinterpret_cast<const uint8_t*>(&lo),
-                              sizeof(lo)});
-  state = Fnv1aExtend(state, {reinterpret_cast<const uint8_t*>(&hi),
-                              sizeof(hi)});
-  return state;
-}
 
 int Partitioning::OwnerOf(VertexId v) const {
   const auto it = std::upper_bound(range_ends.begin(), range_ends.end(), v);
@@ -45,7 +16,7 @@ double Partitioning::EdgeImbalance() const {
   if (parts.empty() || total_edges == 0) return 1.0;
   int64_t heaviest = 0;
   for (const GraphPartition& part : parts) {
-    heaviest = std::max(heaviest, part.local.edge_count());
+    heaviest = std::max(heaviest, part.edges);
   }
   const double ideal = static_cast<double>(total_edges) /
                        static_cast<double>(parts.size());
@@ -97,23 +68,10 @@ Result<Partitioning> PartitionByEdges1D(const Csr& graph, int partitions) {
       cursor = end;
     }
 
-    GraphPartition part;
-    part.index = p;
-    part.range = range;
-    const int64_t rows = range.size();
-    part.local.row_offsets.resize(static_cast<size_t>(rows) + 1);
-    const EdgeIndex base = offsets[range.begin];
-    for (int64_t r = 0; r <= rows; ++r) {
-      part.local.row_offsets[static_cast<size_t>(r)] =
-          offsets[static_cast<size_t>(range.begin) + static_cast<size_t>(r)] -
-          base;
-    }
-    const std::span<const VertexId> adjacency = graph.adjacency();
-    part.local.adjacency.assign(
-        adjacency.begin() + static_cast<int64_t>(base),
-        adjacency.begin() + static_cast<int64_t>(offsets[range.end]));
     result.range_ends.push_back(range.end);
-    result.parts.push_back(std::move(part));
+    result.parts.push_back(
+        {p, range,
+         static_cast<int64_t>(offsets[range.end] - offsets[range.begin])});
   }
   IBFS_CHECK(result.range_ends.back() == static_cast<VertexId>(vertices));
   return result;

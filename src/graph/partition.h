@@ -2,7 +2,6 @@
 #define IBFS_GRAPH_PARTITION_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/csr.h"
@@ -12,9 +11,8 @@ namespace ibfs::graph {
 
 /// Deterministic 1D edge partitioning (Buluc & Madduri's row decomposition):
 /// the vertex set is cut into P contiguous ranges chosen so each range owns
-/// roughly |E| / P out-edges, and each partition stores the local CSR of its
-/// owned vertices' out-edges. Level-synchronous BFS then runs each level on
-/// every partition against its local edges and all-gathers the discovered
+/// roughly |E| / P out-edges. Level-synchronous BFS then runs each level on
+/// every partition against its owned edges and exchanges the discovered
 /// frontier between levels — the first scenario class where the graph itself
 /// does not fit one device. The cut depends only on (graph, P), never on
 /// threads or traversal order, so partitioned runs are bit-reproducible.
@@ -28,52 +26,13 @@ struct VertexRange {
   bool Contains(VertexId v) const { return v >= begin && v < end; }
 };
 
-/// The out-edge CSR of one partition's owned vertices. Row r describes
-/// global vertex `range.begin + r`; adjacency entries keep their *global*
-/// vertex ids (a frontier exchange needs no translation). Only out-edges
-/// are stored: the 1D decomposition's per-level expansion is top-down, and
-/// owned in-edges generally differ in count from owned out-edges on
-/// directed graphs, which the full Csr invariants do not allow.
-struct LocalCsr {
-  std::vector<EdgeIndex> row_offsets;  // local rows; size = range.size() + 1
-  std::vector<VertexId> adjacency;     // global neighbor ids
-
-  int64_t vertex_count() const {
-    return static_cast<int64_t>(row_offsets.size()) - 1;
-  }
-  int64_t edge_count() const { return static_cast<int64_t>(adjacency.size()); }
-
-  /// Out-neighbors of local row `r` (global ids, ascending).
-  std::span<const VertexId> OutNeighbors(int64_t r) const {
-    return {adjacency.data() + row_offsets[static_cast<size_t>(r)],
-            adjacency.data() + row_offsets[static_cast<size_t>(r) + 1]};
-  }
-
-  int64_t StorageBytes() const {
-    return static_cast<int64_t>(row_offsets.size() * sizeof(EdgeIndex) +
-                                adjacency.size() * sizeof(VertexId));
-  }
-
-  /// FNV-1a digest of the local arrays alone — the analogue of
-  /// Csr::Fingerprint. Deliberately *not* a cache key: two partitions of
-  /// one parent graph can have bit-identical local shapes (see
-  /// GraphPartition::Fingerprint).
-  uint64_t TopologyFingerprint() const;
-};
-
-/// One partition: owner range plus its local CSR.
+/// One partition: its owned vertex range and the out-edges those vertices
+/// own (read off the parent's row offsets; partitions run on views of the
+/// parent CSR, so nothing is copied).
 struct GraphPartition {
   int index = 0;
   VertexRange range;
-  LocalCsr local;
-
-  /// Cache-key fingerprint: TopologyFingerprint salted with the owner
-  /// vertex range. Result caches key on (graph fingerprint, source,
-  /// strategy); without the salt, two partitions of the same parent graph
-  /// whose local CSRs happen to coincide (e.g. two disjoint identical
-  /// components split at the component boundary) would collide and serve
-  /// each other's depths.
-  uint64_t Fingerprint() const;
+  int64_t edges = 0;
 };
 
 /// A full 1D partitioning of one graph.

@@ -15,9 +15,7 @@
 
 #include "core/group_plan.h"
 #include "gpusim/fault.h"
-#include "graph/builder.h"
 #include "graph/components.h"
-#include "graph/partition.h"
 #include "service/cache.h"
 #include "service/service.h"
 #include "service/workload.h"
@@ -138,55 +136,6 @@ TEST(CacheResultTest, CorruptedEntryIsQuarantinedAndReinsertable) {
 TEST(CacheResultTest, CorruptEntryForTestReportsAbsentSource) {
   ResultCache cache(1, Strategy::kBitwise, CacheOptions{});
   EXPECT_FALSE(cache.CorruptEntryForTest(42));
-}
-
-TEST(CachePartitionKeyTest, SaltedFingerprintsKeepTwinPartitionsApart) {
-  // Two disjoint identical 8-rings; the 1D edge cut lands exactly on the
-  // component boundary, so the two partitions' local CSRs have the same
-  // shape (identical row offsets, adjacency differing only by the +8 id
-  // shift). Regression: a cache key derived from local topology alone is
-  // one id-pattern coincidence away from letting partition 1's cache
-  // serve partition 0's depths. GraphPartition::Fingerprint salts the
-  // topology digest with the owner vertex range, which separates the keys
-  // unconditionally.
-  graph::GraphBuilder builder(16);
-  for (int c = 0; c < 2; ++c) {
-    for (int i = 0; i < 8; ++i) {
-      builder.AddUndirectedEdge(
-          static_cast<graph::VertexId>(c * 8 + i),
-          static_cast<graph::VertexId>(c * 8 + (i + 1) % 8));
-    }
-  }
-  auto built = std::move(builder).Build();
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const graph::Csr graph = std::move(built).value();
-  auto parted = graph::PartitionByEdges1D(graph, 2);
-  ASSERT_TRUE(parted.ok()) << parted.status().ToString();
-  const graph::Partitioning& parts = parted.value();
-  ASSERT_EQ(parts.parts[0].range.end, 8u);
-  ASSERT_EQ(parts.parts[0].local.edge_count(),
-            parts.parts[1].local.edge_count());
-
-  const uint64_t key0 = parts.parts[0].Fingerprint();
-  const uint64_t key1 = parts.parts[1].Fingerprint();
-  EXPECT_NE(key0, key1);
-
-  // The serving consequence: each partition's ResultCache stamps entries
-  // with its own key, and Get rejects any entry whose stored fingerprint
-  // disagrees — so a warmup replay or replication fan-out that offers
-  // partition 0's bytes to partition 1's cache is rejected as a stale
-  // graph rather than served as a hit.
-  ResultCache cache0(key0, Strategy::kBitwise, CacheOptions{});
-  ResultCache cache1(key1, Strategy::kBitwise, CacheOptions{});
-  cache0.Put(3, MakeValue({0, 1, 2, 0xff}));
-  ASSERT_TRUE(cache0.Get(3).has_value());
-  EXPECT_FALSE(cache1.Get(3).has_value());
-  cache1.Put(3, MakeValue({2, 1, 0, 0xff}));
-  auto hit0 = cache0.Get(3);
-  auto hit1 = cache1.Get(3);
-  ASSERT_TRUE(hit0.has_value());
-  ASSERT_TRUE(hit1.has_value());
-  EXPECT_NE(hit0->depths, hit1->depths);
 }
 
 TEST(CacheResultTest, ClearDropsEverything) {
