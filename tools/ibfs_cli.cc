@@ -1006,17 +1006,18 @@ int CmdFleet(const Flags& flags) {
     return 1;
   }
   const obs::FleetReport& report = run.value();
-  std::printf("fleet:           %d shards, %d vnodes, ring seed %lld\n",
-              report.shards, report.vnodes,
+  std::printf("fleet:           %lld shards, %lld vnodes, ring seed %lld\n",
+              static_cast<long long>(report.shards),
+              static_cast<long long>(report.vnodes),
               static_cast<long long>(report.ring_seed));
   std::printf("queries:         %lld (%lld ok, %lld failed)\n",
               static_cast<long long>(report.queries),
               static_cast<long long>(report.completed),
               static_cast<long long>(report.failed));
   if (report.multi_source > 1) {
-    std::printf("scatter-gather:  %lld multi-queries of up to %d sources\n",
+    std::printf("scatter-gather:  %lld multi-queries of up to %lld sources\n",
                 static_cast<long long>(report.multi_queries),
-                report.multi_source);
+                static_cast<long long>(report.multi_source));
   }
   std::printf("achieved:        %.1f qps over %.2f s wall\n",
               report.achieved_qps, report.wall_seconds);
