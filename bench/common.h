@@ -3,13 +3,18 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
 #include "gen/benchmarks.h"
 #include "graph/components.h"
 #include "graph/csr.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/env.h"
@@ -140,6 +145,167 @@ inline void PrintHeader(const char* exp_id, const char* description) {
   std::printf("(scaled graph presets; IBFS_SCALE=%d, see DESIGN.md §2)\n",
               gen::EnvScaleDelta());
 }
+
+/// Which direction of a `wall` metric is an improvement. Exact (`sim`,
+/// `count`) metrics must match in either direction and record kLower.
+enum class Better { kLower, kHigher };
+
+/// One `ibfs.bench` v1 artifact, the format every committed BENCH_*.json
+/// shares and tools/check_bench.py gates:
+///   {schema, schema_version, bench, host{cpus, cpu_model, compiler,
+///    build_type}, config{<ENV_VAR>: value}, repeats,
+///    metrics[{name, unit, clock, better, value, spread}]}
+/// Every knob a bench reads through Int/Double/String lands in `config`
+/// under its environment-variable name, so the gate replays the recorded
+/// workload by exporting `config` as the environment. Clocks:
+///   sim    simulated-model output, a deterministic function of config;
+///   count  an exact integer (counters, FNV-1a answer checksums), likewise
+///          deterministic;
+///   wall   depends on host timing; the gate bands it by `better`.
+/// `spread` is max - min over `repeats` runs (0 for a single run). The
+/// pass/fail invariants live in the benches themselves (IBFS_CHECK), so a
+/// broken run exits nonzero before anything is written.
+class BenchArtifact {
+ public:
+  explicit BenchArtifact(std::string bench) : bench_(std::move(bench)) {}
+
+  int64_t Int(const char* env, int64_t def) {
+    const int64_t value = EnvInt64(env, def);
+    config_.emplace_back(env, std::to_string(value));
+    return value;
+  }
+  double Double(const char* env, double def) {
+    const double value = EnvDouble(env, def);
+    config_.emplace_back(env, Number(value));
+    return value;
+  }
+  std::string String(const char* env, const std::string& def) {
+    std::string value = EnvString(env, def);
+    std::ostringstream os;
+    obs::WriteJsonString(os, value);
+    config_.emplace_back(env, os.str());
+    return value;
+  }
+  void set_repeats(int64_t repeats) { repeats_ = repeats; }
+
+  void Sim(std::string name, std::string unit, double value) {
+    Add(std::move(name), std::move(unit), "sim", Better::kLower,
+        Number(value), 0.0);
+  }
+  void Count(std::string name, std::string unit, uint64_t value) {
+    Add(std::move(name), std::move(unit), "count", Better::kLower,
+        std::to_string(value), 0.0);
+  }
+  void Wall(std::string name, std::string unit, Better better, double value,
+            double spread = 0.0) {
+    Add(std::move(name), std::move(unit), "wall", better, Number(value),
+        spread);
+  }
+
+  /// Writes to IBFS_BENCH_OUT (default BENCH_<bench>.json) and returns the
+  /// process exit code.
+  int Write() const {
+    const std::string out =
+        EnvString("IBFS_BENCH_OUT", "BENCH_" + bench_ + ".json");
+    std::ofstream os(out, std::ios::binary);
+    if (!os) {
+      std::fprintf(stderr, "cannot open %s for writing\n", out.c_str());
+      return 1;
+    }
+    obs::JsonWriter w(os);
+    w.BeginObject();
+    w.Key("schema");
+    w.String("ibfs.bench");
+    w.Key("schema_version");
+    w.Int(1);
+    w.Key("bench");
+    w.String(bench_);
+    w.Key("host");
+    w.BeginObject();
+    w.Key("cpus");
+    w.Int(static_cast<int64_t>(std::thread::hardware_concurrency()));
+    w.Key("cpu_model");
+    w.String(CpuModel());
+    w.Key("compiler");
+    w.String(IBFS_BENCH_COMPILER);
+    w.Key("build_type");
+    w.String(IBFS_BENCH_BUILD_TYPE);
+    w.EndObject();
+    w.Key("config");
+    w.BeginObject();
+    for (const auto& [env, value] : config_) {
+      w.Key(env);
+      w.Raw(value);
+    }
+    w.EndObject();
+    w.Key("repeats");
+    w.Int(repeats_);
+    w.Key("metrics");
+    w.BeginArray();
+    for (const Metric& m : metrics_) {
+      w.BeginObject();
+      w.Key("name");
+      w.String(m.name);
+      w.Key("unit");
+      w.String(m.unit);
+      w.Key("clock");
+      w.String(m.clock);
+      w.Key("better");
+      w.String(m.better == Better::kLower ? "lower" : "higher");
+      w.Key("value");
+      w.Raw(m.value);
+      w.Key("spread");
+      w.Double(m.spread);
+      w.EndObject();
+    }
+    w.EndArray();
+    w.EndObject();
+    os << '\n';
+    std::printf("wrote %s\n", out.c_str());
+    return os ? 0 : 1;
+  }
+
+ private:
+  struct Metric {
+    std::string name;
+    std::string unit;
+    const char* clock;
+    Better better;
+    std::string value;  // serialized JSON number
+    double spread;
+  };
+
+  static std::string Number(double value) {
+    std::ostringstream os;
+    obs::WriteJsonNumber(os, value);
+    return os.str();
+  }
+
+  /// The "model name" line of /proc/cpuinfo, or "unknown".
+  static std::string CpuModel() {
+    std::ifstream is("/proc/cpuinfo");
+    for (std::string line; std::getline(is, line);) {
+      if (line.rfind("model name", 0) != 0) continue;
+      const size_t colon = line.find(':');
+      const size_t first = line.find_first_not_of(' ', colon + 1);
+      if (colon != std::string::npos && first != std::string::npos) {
+        return line.substr(first);
+      }
+    }
+    return "unknown";
+  }
+
+  void Add(std::string name, std::string unit, const char* clock,
+           Better better, std::string value, double spread) {
+    metrics_.push_back({std::move(name), std::move(unit), clock, better,
+                        std::move(value), spread});
+  }
+
+  std::string bench_;
+  int64_t repeats_ = 1;
+  std::vector<std::pair<std::string, std::string>> config_;
+  std::vector<Metric> metrics_;
+};
 
 inline double ToBillions(double teps) { return teps / 1e9; }
 

@@ -14,38 +14,33 @@
 //                  the checksum.
 //   joint_sweep    Engine run, joint-traversal strategy, same scheme.
 //   serve          open-loop poisson workload through BfsService (cache
-//                  off): queue+batch+execute latency percentiles.
+//                  off): queue+batch+execute latency percentiles (p50 and
+//                  p95 recorded; ~400 queries leave too few samples past
+//                  p99 to band it).
 //
 // Every section also records simulation-identity fingerprints (depth
-// checksums, transaction counts, simulated seconds): a fast path that
-// changes any of them is a broken fast path, and tools/check_bench.py
-// fails the bench_smoke ctest on any fingerprint drift vs the committed
-// BENCH_gpusim.json (wall-clock drifts only warn inside a tolerance band).
+// checksums, transaction counts, simulated seconds) as exact `sim`/`count`
+// metrics: a fast path that changes any of them is a broken fast path, and
+// tools/check_bench.py fails the bench_smoke ctest on any drift vs the
+// committed BENCH_gpusim.json. Wall-clock metrics are banded.
 //
-// Environment knobs (all optional):
+// Environment knobs (all optional, recorded in the artifact's config):
 //   IBFS_GPUSIM_BENCH_SCALE      RMAT scale of the micro graphs (def 14)
 //   IBFS_GPUSIM_BENCH_EDGES      RMAT edge factor (def 16)
 //   IBFS_GPUSIM_BENCH_INSTANCES  BFS instances per engine run (def 256)
-//   IBFS_GPUSIM_BENCH_GROUP     group size N (def 64)
+//   IBFS_GPUSIM_BENCH_GROUP      group size N (def 64)
 //   IBFS_GPUSIM_BENCH_REPEATS    timed repetitions, best-of (def 3)
 //   IBFS_GPUSIM_BENCH_QPS        serve-section offered load (def 400)
 //   IBFS_GPUSIM_BENCH_DURATION   serve-section seconds (def 1.0)
-//   IBFS_GPUSIM_BENCH_SERVE      0 skips the serve section (def 1)
-//   IBFS_GPUSIM_BENCH_OUT        output path (def BENCH_gpusim.json)
-//   IBFS_GPUSIM_BENCH_BASELINE   path to a pre-refactor run of this bench;
-//                                embeds it plus speedup ratios in the
-//                                output (how BENCH_gpusim.json records its
-//                                before/after evidence)
+//   IBFS_BENCH_OUT               output path (def BENCH_gpusim.json)
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
 #include "gen/rmat.h"
-#include "obs/json.h"
 #include "service/service.h"
 #include "service/workload.h"
 #include "util/checksum.h"
@@ -61,7 +56,7 @@ double Now() {
 
 struct SweepResult {
   double best_seconds = 0.0;
-  double mean_seconds = 0.0;
+  double worst_seconds = 0.0;
   double sim_seconds = 0.0;
   uint64_t depth_checksum = 0;
   uint64_t load_transactions = 0;
@@ -88,7 +83,7 @@ SweepResult RunSweep(const graph::Csr& graph,
     const EngineResult result = MustRun(graph, options, sources);
     const double elapsed = Now() - start;
     sweep.best_seconds = std::min(sweep.best_seconds, elapsed);
-    sweep.mean_seconds += elapsed / repeats;
+    sweep.worst_seconds = std::max(sweep.worst_seconds, elapsed);
     if (r == 0) {
       sweep.sim_seconds = result.sim_seconds;
       sweep.load_transactions = result.totals.mem.load_transactions;
@@ -213,43 +208,34 @@ ServeResult RunServe(const graph::Csr& graph, double qps,
   return serve;
 }
 
-void WriteHex(obs::JsonWriter* w, uint64_t value) {
-  char buf[19];
-  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, value);
-  w->String(buf);
-}
-
-void WriteSweep(obs::JsonWriter* w, const SweepResult& sweep) {
-  w->BeginObject();
-  w->Key("wall_seconds_best");
-  w->Double(sweep.best_seconds);
-  w->Key("wall_seconds_mean");
-  w->Double(sweep.mean_seconds);
-  w->Key("sim_seconds");
-  w->Double(sweep.sim_seconds);
-  w->Key("depth_checksum");
-  WriteHex(w, sweep.depth_checksum);
-  w->Key("load_transactions");
-  w->Int(static_cast<int64_t>(sweep.load_transactions));
-  w->Key("store_transactions");
-  w->Int(static_cast<int64_t>(sweep.store_transactions));
-  w->Key("atomic_ops");
-  w->Int(static_cast<int64_t>(sweep.atomic_ops));
-  w->EndObject();
+void RecordSweep(BenchArtifact* out, const std::string& section,
+                 const SweepResult& sweep) {
+  out->Wall(section + ".wall_seconds_best", "s", Better::kLower,
+            sweep.best_seconds, sweep.worst_seconds - sweep.best_seconds);
+  out->Sim(section + ".sim_seconds", "s", sweep.sim_seconds);
+  out->Count(section + ".depth_checksum", "fnv1a", sweep.depth_checksum);
+  out->Count(section + ".load_transactions", "txn", sweep.load_transactions);
+  out->Count(section + ".store_transactions", "txn",
+             sweep.store_transactions);
+  out->Count(section + ".atomic_ops", "ops", sweep.atomic_ops);
 }
 
 int Main() {
   PrintHeader("gpusim fast path",
               "accounting overhead + traversal-kernel wall clock + serve "
               "p50");
-  const int scale = EnvInt("IBFS_GPUSIM_BENCH_SCALE", 14);
-  const int edge_factor = EnvInt("IBFS_GPUSIM_BENCH_EDGES", 16);
-  const int64_t instances = EnvInt64("IBFS_GPUSIM_BENCH_INSTANCES", 256);
-  const int group_size = EnvInt("IBFS_GPUSIM_BENCH_GROUP", 64);
-  const int repeats = EnvInt("IBFS_GPUSIM_BENCH_REPEATS", 3);
-  const double qps = EnvDouble("IBFS_GPUSIM_BENCH_QPS", 400.0);
-  const double duration_s = EnvDouble("IBFS_GPUSIM_BENCH_DURATION", 1.0);
-  const bool run_serve = EnvBool("IBFS_GPUSIM_BENCH_SERVE", true);
+  BenchArtifact out("gpusim");
+  const int scale = static_cast<int>(out.Int("IBFS_GPUSIM_BENCH_SCALE", 14));
+  const int edge_factor =
+      static_cast<int>(out.Int("IBFS_GPUSIM_BENCH_EDGES", 16));
+  const int64_t instances = out.Int("IBFS_GPUSIM_BENCH_INSTANCES", 256);
+  const int group_size =
+      static_cast<int>(out.Int("IBFS_GPUSIM_BENCH_GROUP", 64));
+  const int repeats =
+      static_cast<int>(out.Int("IBFS_GPUSIM_BENCH_REPEATS", 3));
+  const double qps = out.Double("IBFS_GPUSIM_BENCH_QPS", 400.0);
+  const double duration_s = out.Double("IBFS_GPUSIM_BENCH_DURATION", 1.0);
+  out.set_repeats(repeats);
 
   gen::RmatParams params;
   params.scale = scale;
@@ -265,6 +251,10 @@ int Main() {
               accounting.seconds,
               static_cast<long long>(accounting.calls),
               accounting.ns_per_call);
+  out.Wall("accounting.seconds", "s", Better::kLower, accounting.seconds);
+  out.Sim("accounting.sim_seconds", "s", accounting.sim_seconds);
+  out.Count("accounting.load_transactions", "txn",
+            accounting.load_transactions);
 
   const SweepResult bitwise =
       RunSweep(graph, sources, Strategy::kBitwise, group_size, repeats);
@@ -272,6 +262,7 @@ int Main() {
               "%016" PRIx64 ")\n",
               bitwise.best_seconds, repeats, bitwise.sim_seconds,
               bitwise.depth_checksum);
+  RecordSweep(&out, "bitwise_sweep", bitwise);
 
   const SweepResult joint =
       RunSweep(graph, sources, Strategy::kJointTraversal, group_size,
@@ -280,134 +271,20 @@ int Main() {
               "%016" PRIx64 ")\n",
               joint.best_seconds, repeats, joint.sim_seconds,
               joint.depth_checksum);
+  RecordSweep(&out, "joint_sweep", joint);
 
-  ServeResult serve;
-  if (run_serve) {
-    serve = RunServe(graph, qps, duration_s);
-    std::printf("serve:         p50 %.3f ms  p95 %.3f ms  p99 %.3f ms "
-                "(%lld queries)\n",
-                serve.p50_ms, serve.p95_ms, serve.p99_ms,
-                static_cast<long long>(serve.completed));
-  }
-
-  // Optional before/after embedding: point IBFS_GPUSIM_BENCH_BASELINE at a
-  // pre-refactor run of this bench and the output carries that run plus
-  // the headline speedups.
-  const std::string baseline_path =
-      EnvString("IBFS_GPUSIM_BENCH_BASELINE", "");
-  obs::JsonValue baseline;
-  bool have_baseline = false;
-  if (!baseline_path.empty()) {
-    auto parsed = obs::ParseJsonFile(baseline_path);
-    IBFS_CHECK(parsed.ok()) << parsed.status().ToString();
-    baseline = std::move(parsed).value();
-    have_baseline = true;
-  }
-  const auto baseline_best = [&baseline](const char* section) {
-    const obs::JsonValue* s = baseline.Find(section);
-    const obs::JsonValue* v =
-        s != nullptr ? s->Find("wall_seconds_best") : nullptr;
-    return v != nullptr && v->is_number() ? v->number_value() : 0.0;
-  };
-
-  const std::string out =
-      EnvString("IBFS_GPUSIM_BENCH_OUT", "BENCH_gpusim.json");
-  std::ofstream os(out, std::ios::binary);
-  if (!os) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out.c_str());
-    return 1;
-  }
-  obs::JsonWriter w(os);
-  w.BeginObject();
-  w.Key("bench");
-  w.String("gpusim_fastpath");
-  w.Key("schema_version");
-  w.Int(1);
-  w.Key("config");
-  w.BeginObject();
-  w.Key("rmat_scale");
-  w.Int(scale);
-  w.Key("edge_factor");
-  w.Int(edge_factor);
-  w.Key("instances");
-  w.Int(instances);
-  w.Key("group_size");
-  w.Int(group_size);
-  w.Key("repeats");
-  w.Int(repeats);
-  w.Key("qps");
-  w.Double(qps);
-  w.Key("duration_s");
-  w.Double(duration_s);
-  w.EndObject();
-  w.Key("accounting");
-  w.BeginObject();
-  w.Key("calls");
-  w.Int(accounting.calls);
-  w.Key("seconds");
-  w.Double(accounting.seconds);
-  w.Key("ns_per_call");
-  w.Double(accounting.ns_per_call);
-  w.Key("sim_seconds");
-  w.Double(accounting.sim_seconds);
-  w.Key("load_transactions");
-  w.Int(static_cast<int64_t>(accounting.load_transactions));
-  w.EndObject();
-  w.Key("bitwise_sweep");
-  WriteSweep(&w, bitwise);
-  w.Key("joint_sweep");
-  WriteSweep(&w, joint);
-  if (run_serve) {
-    w.Key("serve");
-    w.BeginObject();
-    w.Key("p50_ms");
-    w.Double(serve.p50_ms);
-    w.Key("p95_ms");
-    w.Double(serve.p95_ms);
-    w.Key("p99_ms");
-    w.Double(serve.p99_ms);
-    w.Key("achieved_qps");
-    w.Double(serve.achieved_qps);
-    w.Key("completed");
-    w.Int(serve.completed);
-    w.Key("checksum");
-    WriteHex(&w, serve.checksum);
-    w.EndObject();
-  }
-  if (have_baseline) {
-    const double bitwise_before = baseline_best("bitwise_sweep");
-    const double joint_before = baseline_best("joint_sweep");
-    w.Key("speedup_vs_baseline");
-    w.BeginObject();
-    w.Key("bitwise_sweep");
-    w.Double(bitwise.best_seconds > 0.0 && bitwise_before > 0.0
-                 ? bitwise_before / bitwise.best_seconds
-                 : 0.0);
-    w.Key("joint_sweep");
-    w.Double(joint.best_seconds > 0.0 && joint_before > 0.0
-                 ? joint_before / joint.best_seconds
-                 : 0.0);
-    w.EndObject();
-    w.Key("baseline");
-    std::ifstream is(baseline_path, std::ios::binary);
-    std::string text((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-    while (!text.empty() &&
-           (text.back() == '\n' || text.back() == ' ' ||
-            text.back() == '\r')) {
-      text.pop_back();
-    }
-    w.Raw(text);
-  }
-  w.EndObject();
-  os << '\n';
-  std::printf("wrote %s\n", out.c_str());
-  if (have_baseline) {
-    std::printf("speedup vs baseline: bitwise %.2fx, joint %.2fx\n",
-                baseline_best("bitwise_sweep") / bitwise.best_seconds,
-                baseline_best("joint_sweep") / joint.best_seconds);
-  }
-  return 0;
+  const ServeResult serve = RunServe(graph, qps, duration_s);
+  std::printf("serve:         p50 %.3f ms  p95 %.3f ms  p99 %.3f ms "
+              "(%lld queries)\n",
+              serve.p50_ms, serve.p95_ms, serve.p99_ms,
+              static_cast<long long>(serve.completed));
+  out.Wall("serve.p50_ms", "ms", Better::kLower, serve.p50_ms);
+  out.Wall("serve.p95_ms", "ms", Better::kLower, serve.p95_ms);
+  out.Wall("serve.achieved_qps", "qps", Better::kHigher, serve.achieved_qps);
+  out.Count("serve.completed", "queries",
+            static_cast<uint64_t>(serve.completed));
+  out.Count("serve.checksum", "fnv1a", serve.checksum);
+  return out.Write();
 }
 
 }  // namespace

@@ -2,70 +2,46 @@
 //
 // The same concurrent-BFS workload run unpartitioned (the baseline
 // Engine) and partitioned across P = {1, 2, 4, 8} simulated devices under
-// both frontier-exchange schedules. Three invariants are gated by
-// tools/check_bench.py (ctest label bench_smoke):
+// both frontier-exchange schedules. The bench itself aborts unless every
+// point's depth checksum equals the baseline's (partitioning moves edges
+// between devices, never answers) and the P = 1 point's simulated seconds
+// equal the engine's (at P = 1 the partitioned run is the engine's run).
+// tools/check_bench.py (ctest bench_partition_smoke) then requires the
+// comm model's outputs (compute/comm/sim seconds, bytes on wire, rounds,
+// supersteps, edge imbalance) to equal the committed ones exactly and
+// bands the wall clock. The comm model's shape (all-gather grows with P,
+// the butterfly wins at P >= 4 on the same bytes) is pinned by
+// RunPartitionedTest.CommGrowsWithPartitionsAndButterflyWins.
 //
-// 1. Correctness: every point's depth checksum is bit-identical to the
-//    baseline's — partitioning moves edges between devices, never
-//    answers. -> "checksum_match" per point.
-// 2. Comm model shape: under the ring all-gather, modeled comm seconds
-//    grow monotonically with P (more ranks, more rounds); at P >= 4 the
-//    butterfly beats the all-gather on the same byte volume (fewer
-//    latency-bound rounds). Both schedules report identical
-//    bytes_on_wire.
-// 3. Wall clock stays within the tolerance band of the committed run
-//    (machine-dependent, generous band).
-//
-// Environment knobs: IBFS_GRAPH (default PK), IBFS_PARTITION_INSTANCES
-// (default 64), IBFS_PARTITION_GROUP (default 32), IBFS_BENCH_OUT
-// (default BENCH_partition.json).
+// Environment knobs: IBFS_GRAPH (default PK), IBFS_SCALE (default 0),
+// IBFS_PARTITION_INSTANCES (default 64), IBFS_PARTITION_GROUP (default
+// 32), IBFS_BENCH_OUT (default BENCH_partition.json).
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
 #include "core/cluster_engine.h"
 #include "gpusim/memory_model.h"
-#include "obs/json.h"
 #include "util/checksum.h"
 
 namespace ibfs::bench {
 namespace {
 
-struct Point {
-  int partitions = 0;
-  const char* schedule = "";
-  bool checksum_match = false;
-  double compute_seconds = 0.0;
-  double comm_seconds = 0.0;
-  double sim_seconds = 0.0;
-  int64_t bytes_on_wire = 0;
-  int64_t rounds = 0;
-  int64_t supersteps = 0;
-  double edge_imbalance = 0.0;
-  double wall_seconds = 0.0;
-};
-
-void WriteHex(obs::JsonWriter* w, uint64_t value) {
-  char buf[19];
-  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, value);
-  w->String(buf);
-}
-
 int Main() {
   PrintHeader("partition bench",
               "1D edge-partitioned execution vs the single-device engine");
-  const std::string graph_name = EnvString("IBFS_GRAPH", "PK");
+  BenchArtifact out("partition");
+  out.Int("IBFS_SCALE", 0);
   std::vector<LoadedGraph> loaded_set =
-      LoadNamed(std::vector<std::string>{graph_name});
+      LoadNamed({out.String("IBFS_GRAPH", "PK")});
   const LoadedGraph& loaded = loaded_set.front();
 
-  const int64_t instances = EnvInt64("IBFS_PARTITION_INSTANCES", 64);
+  const int64_t instances = out.Int("IBFS_PARTITION_INSTANCES", 64);
   EngineOptions options = BaseOptions(Strategy::kBitwise,
                                       GroupingPolicy::kGroupBy);
-  options.group_size = EnvInt("IBFS_PARTITION_GROUP", 32);
+  options.group_size = static_cast<int>(out.Int("IBFS_PARTITION_GROUP", 32));
   options.traversal.collect_instance_stats = false;
   // BaseOptions drops depths (benches usually only need timing); parity
   // gating folds every depth vector, so keep them.
@@ -81,10 +57,11 @@ int Main() {
               "\n\n",
               baseline.value().groups.size(),
               baseline.value().sim_seconds * 1e3, baseline_checksum);
+  out.Count("baseline.depth_checksum", "fnv1a", baseline_checksum);
+  out.Sim("baseline.sim_seconds", "s", baseline.value().sim_seconds);
 
   std::printf("%4s %10s %12s %12s %14s %8s %6s %6s\n", "P", "schedule",
               "compute ms", "comm ms", "bytes", "rounds", "imbal", "match");
-  std::vector<Point> points;
   for (int partitions : {1, 2, 4, 8}) {
     for (auto schedule : {gpusim::CommSchedule::kAllGather,
                           gpusim::CommSchedule::kButterfly}) {
@@ -99,96 +76,39 @@ int Main() {
       auto run = RunPartitioned(loaded.graph, sources, options, prun);
       IBFS_CHECK(run.ok()) << run.status().ToString();
       const PartitionedRunResult& res = run.value();
-      Point point;
-      point.partitions = partitions;
-      point.schedule = gpusim::CommScheduleName(schedule);
-      point.checksum_match =
+      const char* schedule_name = gpusim::CommScheduleName(schedule);
+      const bool checksum_match =
           DepthChecksum(res.groups) == baseline_checksum;
-      point.compute_seconds = res.compute_seconds;
-      point.comm_seconds = res.comm_seconds;
-      point.sim_seconds = res.sim_seconds;
-      point.bytes_on_wire = res.bytes_on_wire;
-      point.rounds = res.comm_rounds;
-      point.supersteps = res.supersteps;
-      point.edge_imbalance = res.edge_imbalance;
-      point.wall_seconds = res.wall_seconds;
       std::printf("%4d %10s %12.3f %12.3f %14lld %8lld %6.3f %6s\n",
-                  partitions, point.schedule, res.compute_seconds * 1e3,
+                  partitions, schedule_name, res.compute_seconds * 1e3,
                   res.comm_seconds * 1e3,
                   static_cast<long long>(res.bytes_on_wire),
                   static_cast<long long>(res.comm_rounds),
-                  res.edge_imbalance,
-                  point.checksum_match ? "yes" : "NO");
-      IBFS_CHECK(point.checksum_match)
+                  res.edge_imbalance, checksum_match ? "yes" : "NO");
+      IBFS_CHECK(checksum_match)
           << "partitioned depths diverged from the engine at P="
-          << partitions << " schedule=" << point.schedule;
-      points.push_back(point);
+          << partitions << " schedule=" << schedule_name;
+      IBFS_CHECK(partitions != 1 ||
+                 res.sim_seconds == baseline.value().sim_seconds)
+          << "P=1 simulated seconds " << res.sim_seconds
+          << " != engine " << baseline.value().sim_seconds;
+      const std::string point =
+          "p" + std::to_string(partitions) + "_" + schedule_name;
+      out.Sim(point + ".compute_seconds", "s", res.compute_seconds);
+      out.Sim(point + ".comm_seconds", "s", res.comm_seconds);
+      out.Sim(point + ".sim_seconds", "s", res.sim_seconds);
+      out.Count(point + ".bytes_on_wire", "bytes",
+                static_cast<uint64_t>(res.bytes_on_wire));
+      out.Count(point + ".rounds", "rounds",
+                static_cast<uint64_t>(res.comm_rounds));
+      out.Count(point + ".supersteps", "levels",
+                static_cast<uint64_t>(res.supersteps));
+      out.Sim(point + ".edge_imbalance", "ratio", res.edge_imbalance);
+      out.Wall(point + ".wall_seconds", "s", Better::kLower, res.wall_seconds);
     }
   }
-
-  const std::string out = EnvString("IBFS_BENCH_OUT", "BENCH_partition.json");
-  std::ofstream os(out, std::ios::binary);
-  if (!os) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out.c_str());
-    return 1;
-  }
-  obs::JsonWriter w(os);
-  w.BeginObject();
-  w.Key("bench");
-  w.String("partition");
-  w.Key("schema_version");
-  w.Int(1);
-  w.Key("graph");
-  w.String(graph_name);
-  w.Key("config");
-  w.BeginObject();
-  w.Key("instances");
-  w.Int(instances);
-  w.Key("group_size");
-  w.Int(options.group_size);
-  w.Key("strategy");
-  w.String("bitwise");
-  w.EndObject();
-  w.Key("baseline");
-  w.BeginObject();
-  w.Key("depth_checksum");
-  WriteHex(&w, baseline_checksum);
-  w.Key("sim_seconds");
-  w.Double(baseline.value().sim_seconds);
-  w.EndObject();
-  w.Key("points");
-  w.BeginArray();
-  for (const Point& point : points) {
-    w.BeginObject();
-    w.Key("partitions");
-    w.Int(point.partitions);
-    w.Key("schedule");
-    w.String(point.schedule);
-    w.Key("checksum_match");
-    w.Bool(point.checksum_match);
-    w.Key("compute_seconds");
-    w.Double(point.compute_seconds);
-    w.Key("comm_seconds");
-    w.Double(point.comm_seconds);
-    w.Key("sim_seconds");
-    w.Double(point.sim_seconds);
-    w.Key("bytes_on_wire");
-    w.Int(point.bytes_on_wire);
-    w.Key("rounds");
-    w.Int(point.rounds);
-    w.Key("supersteps");
-    w.Int(point.supersteps);
-    w.Key("edge_imbalance");
-    w.Double(point.edge_imbalance);
-    w.Key("wall_seconds");
-    w.Double(point.wall_seconds);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  os << '\n';
-  std::printf("\nwrote %s\n", out.c_str());
-  return 0;
+  std::printf("\n");
+  return out.Write();
 }
 
 }  // namespace

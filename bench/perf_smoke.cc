@@ -1,17 +1,18 @@
 // Parallel-engine smoke: wall-clock speedup of host-side parallel group
 // execution (EngineOptions::threads) on the Figure 15 bitwise workload.
 // Runs the identical workload serially and with a worker pool, checks the
-// simulated results are bit-identical, and writes BENCH_parallel.json:
-//   {"bench":"parallel_smoke","serial_seconds":..,"parallel_seconds":..,
-//    "threads":..,"speedup":..,"deterministic":true,...}
-// Environment knobs: IBFS_INSTANCES (default 512), IBFS_SMOKE_THREADS
-// (default 4), IBFS_BENCH_OUT (default BENCH_parallel.json).
+// simulated results are bit-identical (the bench aborts otherwise), and
+// writes BENCH_parallel.json: the serial and parallel wall seconds, their
+// speedup (read it against host.cpus), and the summed simulated seconds and
+// load transactions as exact fingerprints.
+// Environment knobs: IBFS_SCALE (default 0), IBFS_INSTANCES (default 512),
+// IBFS_SMOKE_THREADS (default 4), IBFS_BENCH_OUT (default
+// BENCH_parallel.json).
 #include <chrono>
-#include <fstream>
+#include <numeric>
 #include <vector>
 
 #include "bench/common.h"
-#include "obs/json.h"
 #include "util/thread_pool.h"
 
 namespace ibfs::bench {
@@ -53,12 +54,13 @@ int Main() {
   PrintHeader("parallel smoke",
               "wall-clock speedup of parallel group execution (bitwise, "
               "random + groupby)");
-  const int64_t instances = InstanceCount(512);
+  BenchArtifact out("parallel");
+  out.Int("IBFS_SCALE", 0);
+  const int64_t instances = out.Int("IBFS_INSTANCES", 512);
   // Smaller groups than the paper default so every pass has enough
   // schedulable units (instances/64 groups) to keep the pool busy.
   const int64_t group_size = 64;
-  const int threads =
-      static_cast<int>(EnvInt64("IBFS_SMOKE_THREADS", 4));
+  const int threads = static_cast<int>(out.Int("IBFS_SMOKE_THREADS", 4));
 
   const std::vector<LoadedGraph> graphs = LoadAll();
   std::vector<std::vector<graph::VertexId>> sources;
@@ -94,40 +96,17 @@ int Main() {
         hardware);
   }
 
-  const std::string out = EnvString("IBFS_BENCH_OUT", "BENCH_parallel.json");
-  std::ofstream os(out, std::ios::binary);
-  if (!os) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out.c_str());
-    return 1;
-  }
-  obs::JsonWriter w(os);
-  w.BeginObject();
-  w.Key("bench");
-  w.String("parallel_smoke");
-  w.Key("workload");
-  w.String("fig15-bitwise");
-  w.Key("instances");
-  w.Int(instances);
-  w.Key("group_size");
-  w.Int(group_size);
-  w.Key("runs");
-  w.Int(static_cast<int64_t>(serial.sim_seconds.size()));
-  w.Key("threads");
-  w.Int(threads);
-  w.Key("hardware_concurrency");
-  w.Int(hardware);
-  w.Key("serial_seconds");
-  w.Double(serial.wall_seconds);
-  w.Key("parallel_seconds");
-  w.Double(parallel.wall_seconds);
-  w.Key("speedup");
-  w.Double(speedup);
-  w.Key("deterministic");
-  w.Bool(deterministic);
-  w.EndObject();
-  os << '\n';
-  std::printf("wrote %s\n", out.c_str());
-  return 0;
+  out.Wall("serial_seconds", "s", Better::kLower, serial.wall_seconds);
+  out.Wall("parallel_seconds", "s", Better::kLower, parallel.wall_seconds);
+  out.Wall("speedup", "x", Better::kHigher, speedup);
+  out.Count("runs", "runs", serial.sim_seconds.size());
+  out.Sim("sim_seconds", "s",
+          std::accumulate(serial.sim_seconds.begin(),
+                          serial.sim_seconds.end(), 0.0));
+  out.Count("load_transactions", "txn",
+            std::accumulate(serial.load_transactions.begin(),
+                            serial.load_transactions.end(), uint64_t{0}));
+  return out.Write();
 }
 
 }  // namespace

@@ -1,51 +1,35 @@
 #!/usr/bin/env python3
-"""Regression gate for the committed bench JSONs.
+"""Regression gate for one committed ``ibfs.bench`` v1 artifact.
 
-With ``--binary`` it runs a fresh ``gpusim_bench`` at the exact
-configuration recorded in the committed ``BENCH_gpusim.json`` and compares:
+Every committed ``BENCH_*.json`` has one shape (written by
+``bench/common.h``'s ``BenchArtifact``)::
 
-* **Exact** (bit-identical, machine-independent): depth/serve checksums,
-  transaction counters, and simulated seconds of every section. These come
-  out of the deterministic timing model, so any drift is a real behavior
-  change — the same invariant tests/gpusim_perf_test.cc pins against
-  goldens, checked here end-to-end through the bench harness.
-* **Banded** (machine-dependent): wall-clock per section must stay within
-  ``--tolerance`` times the committed number (default 4x — generous, the
-  gate is for catastrophic regressions like an accidental O(n) rescan in a
-  hot loop, not for CI-noise policing).
+    {schema: "ibfs.bench", schema_version: 1, bench,
+     host: {cpus, cpu_model, compiler, build_type},
+     config: {<ENV_VAR>: value}, repeats,
+     metrics: [{name, unit, clock: sim|count|wall,
+                better: lower|higher, value, spread}]}
 
-With ``--fleet-binary`` it applies the same split to ``fleet_bench`` and
-the committed ``BENCH_fleet.json``: the baseline checksum and query count
-are exact (the fleet's answers are a deterministic function of the seeded
-workload), every shard point and replication row must keep
-``checksum_match`` true, the failover and elastic sections must keep zero
-unanswered futures and zero mismatches (and the elastic episode must have
-actually joined a shard), while the per-point p50/p99 latencies are
-banded. ``--elastic-only`` runs the bench with
-``IBFS_FLEET_SECTIONS=elastic`` and gates only the elastic + replication
-sections — the fast availability smoke wired into ctest as
-``fleet_elastic_smoke``.
+The gate exports the committed ``config`` as the environment, runs the
+bench binary with ``IBFS_BENCH_OUT`` pointing at a temporary file, and
+fails when
 
-With ``--partition-binary`` it gates ``partition_bench`` against the
-committed ``BENCH_partition.json``: the baseline depth checksum, every
-point's ``checksum_match`` (partitioned depths bit-identical to the
-unpartitioned engine), the P = 1 point's ``sim_seconds`` against
-``baseline.sim_seconds`` (at P = 1 the partitioned run is the engine's
-run), and the deterministic comm-model outputs (compute/comm/sim
-seconds, bytes on wire, rounds, supersteps) are exact;
-the comm model's shape is asserted structurally (all-gather comm seconds
-grow monotonically with P, the butterfly beats the all-gather at P >= 4
-on identical byte volume); ``wall_seconds`` is banded.
+* the binary exits nonzero (each bench aborts on its own invariants:
+  checksum parity, zero unanswered queries, determinism, ...);
+* the fresh and committed metric names differ;
+* a ``sim`` or ``count`` value is not exactly the committed one (both are
+  deterministic functions of ``config``);
+* a ``wall`` value is worse than the committed one by more than
+  ``--tolerance`` times, in its ``better`` direction (lower: fresh >
+  committed * tolerance; higher: fresh < committed / tolerance).
+
+Both host stamps are printed, so a wall delta can be read against the
+hosts that produced it.
 
 Usage:
-  check_bench.py REPO_ROOT --binary PATH/TO/gpusim_bench [options]
-  check_bench.py REPO_ROOT --fleet-binary PATH/TO/fleet_bench [options]
-  check_bench.py REPO_ROOT --fleet-binary PATH --elastic-only
-  check_bench.py REPO_ROOT --partition-binary PATH/TO/partition_bench
+  check_bench.py ARTIFACT BINARY [--tolerance 4.0]
 
 Exit status 0 on pass, 1 on any violation, 2 on harness errors.
-The serve section is skipped by default (slow, latency-noisy); pass
---serve to include its checksum in the exact comparison.
 """
 
 import argparse
@@ -55,446 +39,121 @@ import subprocess
 import sys
 import tempfile
 
-# Sections holding a deterministic simulated-model fingerprint.
-EXACT_KEYS = {
-    "accounting": ["sim_seconds", "load_transactions"],
-    "bitwise_sweep": [
-        "sim_seconds",
-        "depth_checksum",
-        "load_transactions",
-        "store_transactions",
-        "atomic_ops",
-    ],
-    "joint_sweep": [
-        "sim_seconds",
-        "depth_checksum",
-        "load_transactions",
-        "store_transactions",
-        "atomic_ops",
-    ],
-}
-
-WALL_KEYS = {
-    "accounting": "seconds",
-    "bitwise_sweep": "wall_seconds_best",
-    "joint_sweep": "wall_seconds_best",
-}
+SCHEMA = "ibfs.bench"
+SCHEMA_VERSION = 1
 
 
-def fail(msg):
-    print(f"check_bench: FAIL: {msg}")
-    return 1
-
-
-def load_committed(path):
+def load_artifact(path):
+    """Parses and shape-checks one artifact; raises ValueError if foreign."""
     with open(path, encoding="utf-8") as f:
-        return json.load(f)
+        doc = json.load(f)
+    if doc.get("schema") != SCHEMA or doc.get("schema_version") != (
+        SCHEMA_VERSION
+    ):
+        raise ValueError(f"not an {SCHEMA} v{SCHEMA_VERSION} artifact")
+    return doc
 
 
-def run_bench(binary, env, timeout=600):
-    """Runs one bench binary into a temp file and returns the parsed JSON."""
-    with tempfile.TemporaryDirectory() as tmp:
-        out_path = os.path.join(tmp, "bench.json")
-        env["IBFS_BENCH_OUT"] = out_path
-        subprocess.run(
-            [binary], env=env, check=True, stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT, timeout=timeout,
-        )
-        with open(out_path, encoding="utf-8") as f:
-            return json.load(f)
-
-
-def check_fleet(args):
-    """Gates fleet_bench against the committed BENCH_fleet.json."""
-    committed_path = args.committed or os.path.join(args.root, "BENCH_fleet.json")
-    try:
-        committed = load_committed(committed_path)
-    except OSError as e:
-        print(f"check_bench: cannot read {committed_path}: {e}")
-        return 2
-
-    env = dict(os.environ)
-    # Reproduce the committed workload exactly; the baseline checksum is
-    # only comparable at an identical graph/seeded arrival schedule.
-    env["IBFS_GRAPH"] = str(committed.get("graph", "PK"))
-    env["IBFS_FLEET_QPS"] = str(committed.get("qps", 400.0))
-    env["IBFS_FLEET_DURATION"] = str(committed.get("duration_seconds", 1.0))
-    env["IBFS_FLEET_VNODES"] = str(committed.get("vnodes", 128))
-    env["IBFS_FLEET_SECTIONS"] = "elastic" if args.elastic_only else "all"
-    try:
-        fresh = run_bench(args.fleet_binary, env)
-    except (subprocess.SubprocessError, OSError) as e:
-        print(f"check_bench: fleet bench run failed: {e}")
-        return 2
-
-    rc = 0
-    # Exact fingerprint: the deterministic answers and their coverage.
-    for key in ("queries",):
-        if committed.get(key) != fresh.get(key):
-            rc = fail(
-                f"fleet {key}: fresh {fresh.get(key)!r} != committed "
-                f"{committed.get(key)!r} (workload drifted)"
-            )
-    want = committed.get("baseline", {}).get("checksum")
-    got = fresh.get("baseline", {}).get("checksum")
-    if want != got:
-        rc = fail(
-            f"fleet baseline.checksum: fresh {got!r} != committed {want!r} "
-            "(deterministic answers drifted)"
-        )
-    if not args.elastic_only:
-        for point in fresh.get("points", []):
-            if not point.get("checksum_match"):
-                rc = fail(
-                    f"fleet {point.get('shards')}-shard point lost checksum "
-                    "parity with the single-service baseline"
-                )
-        if not fresh.get("scatter", {}).get("checksum_match"):
-            rc = fail("fleet scatter section lost checksum parity")
-        failover = fresh.get("failover", {})
-        if failover.get("unanswered", 0) != 0:
-            rc = fail(f"fleet failover left {failover.get('unanswered')} "
-                      "futures unanswered")
-        if failover.get("checksum_mismatches", 0) != 0:
-            rc = fail(f"fleet failover produced "
-                      f"{failover.get('checksum_mismatches')} checksum "
-                      "mismatches")
-
-    # Elastic episode: kill + join with traffic flowing must lose nothing.
-    elastic = fresh.get("elastic", {})
-    if not elastic:
-        rc = fail("fleet bench emitted no elastic section")
-    if elastic.get("unanswered", 0) != 0:
-        rc = fail(f"fleet elastic episode left {elastic.get('unanswered')} "
-                  "futures unanswered")
-    if elastic.get("checksum_mismatches", 0) != 0:
-        rc = fail(f"fleet elastic episode produced "
-                  f"{elastic.get('checksum_mismatches')} checksum "
-                  "mismatches")
-    if elastic.get("shard_joins", 0) < 1:
-        rc = fail("fleet elastic episode never joined a shard")
-
-    # Replication sweep: answers stay bit-identical at every R, replicas
-    # never disagree.
-    replication = fresh.get("replication", [])
-    if not replication:
-        rc = fail("fleet bench emitted no replication section")
-    for row in replication:
-        r = row.get("replication")
-        if not row.get("checksum_match"):
-            rc = fail(f"fleet R={r} row lost checksum parity with the "
-                      "single-service baseline")
-        if row.get("replica_mismatches", 0) != 0:
-            rc = fail(f"fleet R={r} row produced "
-                      f"{row.get('replica_mismatches')} replica mismatches")
-
-    # Banded: per-point / per-row latency vs the committed run.
-    banded = []
-    if not args.elastic_only:
-        committed_points = {
-            p.get("shards"): p for p in committed.get("points", [])
-        }
-        for point in fresh.get("points", []):
-            shards = point.get("shards")
-            base = committed_points.get(shards)
-            if base is not None:
-                banded.append((f"fleet[{shards}]", base, point))
-        if committed.get("elastic"):
-            banded.append(("fleet.elastic", committed["elastic"], elastic))
-    committed_rows = {
-        r.get("replication"): r for r in committed.get("replication", [])
-    }
-    for row in replication:
-        base = committed_rows.get(row.get("replication"))
-        if base is not None:
-            banded.append((f"fleet[R={row.get('replication')}]", base, row))
-    for label, base, point in banded:
-        for key in ("p50_ms", "p99_ms"):
-            want = base.get(key)
-            got = point.get(key)
-            if not want or not got:
-                continue
-            ratio = got / want
-            status = "ok" if ratio <= args.tolerance else "REGRESSION"
-            print(
-                f"check_bench: {label}.{key}: {got:.3f}ms vs "
-                f"committed {want:.3f}ms ({ratio:.2f}x, band "
-                f"{args.tolerance:.1f}x) {status}"
-            )
-            if ratio > args.tolerance:
-                rc = fail(
-                    f"{label}.{key} {ratio:.2f}x over committed, "
-                    f"band {args.tolerance:.1f}x"
-                )
-    if rc == 0:
-        print("check_bench: fleet PASS")
-    return rc
-
-
-def check_partition(args):
-    """Gates partition_bench against the committed BENCH_partition.json."""
-    committed_path = args.committed or os.path.join(
-        args.root, "BENCH_partition.json"
+def host_line(doc):
+    host = doc.get("host", {})
+    return (
+        f"{host.get('cpus')} cpus, {host.get('cpu_model')}, "
+        f"{host.get('compiler')}, {host.get('build_type')}"
     )
-    try:
-        committed = load_committed(committed_path)
-    except OSError as e:
-        print(f"check_bench: cannot read {committed_path}: {e}")
-        return 2
 
-    config = committed.get("config", {})
-    env = dict(os.environ)
-    # Reproduce the committed workload exactly; the checksums and the
-    # deterministic comm-model outputs are only comparable at an
-    # identical graph / instance count / group size.
-    env["IBFS_GRAPH"] = str(committed.get("graph", "PK"))
-    env["IBFS_PARTITION_INSTANCES"] = str(config.get("instances", 64))
-    env["IBFS_PARTITION_GROUP"] = str(config.get("group_size", 32))
-    try:
-        fresh = run_bench(args.partition_binary, env)
-    except (subprocess.SubprocessError, OSError) as e:
-        print(f"check_bench: partition bench run failed: {e}")
-        return 2
 
-    rc = 0
-    want = committed.get("baseline", {}).get("depth_checksum")
-    got = fresh.get("baseline", {}).get("depth_checksum")
-    if want != got:
-        rc = fail(
-            f"partition baseline.depth_checksum: fresh {got!r} != committed "
-            f"{want!r} (deterministic answers drifted)"
-        )
-
-    def point_key(point):
-        return (point.get("partitions"), point.get("schedule"))
-
-    committed_points = {point_key(p): p for p in committed.get("points", [])}
-    fresh_points = fresh.get("points", [])
-    if {point_key(p) for p in fresh_points} != set(committed_points):
-        rc = fail("partition point set differs from the committed sweep")
-
-    # Exact: parity with the unpartitioned engine plus every deterministic
-    # model output. These are pure functions of (graph, P, schedule), so
-    # any drift is a real behavior change.
-    exact_keys = (
-        "compute_seconds",
-        "comm_seconds",
-        "sim_seconds",
-        "bytes_on_wire",
-        "rounds",
-        "supersteps",
-        "edge_imbalance",
-    )
-    for point in fresh_points:
-        p, schedule = point_key(point)
-        label = f"partition[P={p},{schedule}]"
-        if not point.get("checksum_match"):
-            rc = fail(f"{label} lost depth parity with the engine")
-        base = committed_points.get((p, schedule))
-        if base is None:
-            continue
-        for key in exact_keys:
-            if base.get(key) != point.get(key):
-                rc = fail(
-                    f"{label}.{key}: fresh {point.get(key)!r} != committed "
-                    f"{base.get(key)!r} (deterministic model output drifted)"
+def compare(committed, fresh, tolerance):
+    """Returns the list of violations of `fresh` against `committed`."""
+    want = {m["name"]: m for m in committed["metrics"]}
+    got = {m["name"]: m for m in fresh["metrics"]}
+    failures = []
+    for name in sorted(want.keys() - got.keys()):
+        failures.append(f"{name}: missing from the fresh run")
+    for name in sorted(got.keys() - want.keys()):
+        failures.append(f"{name}: not in the committed artifact")
+    for name in sorted(want.keys() & got.keys()):
+        base, value = want[name]["value"], got[name]["value"]
+        if want[name]["clock"] != "wall":
+            if value != base:
+                failures.append(
+                    f"{name}: fresh {value!r} != committed {base!r} "
+                    f"({want[name]['clock']} values are exact)"
                 )
-
-    # Exact: at P = 1 the partitioned run is the engine's own run.
-    baseline_sim = fresh.get("baseline", {}).get("sim_seconds")
-    for point in fresh_points:
-        if point.get("partitions") == 1 and point.get("sim_seconds") != (
-            baseline_sim
-        ):
-            rc = fail(
-                f"partition[P=1,{point.get('schedule')}].sim_seconds "
-                f"{point.get('sim_seconds')!r} != baseline.sim_seconds "
-                f"{baseline_sim!r} (lost engine parity)"
-            )
-
-    # Structural shape of the comm model, independent of committed values.
-    allgather = sorted(
-        (p for p in fresh_points if p.get("schedule") == "allgather"),
-        key=lambda p: p.get("partitions", 0),
-    )
-    for prev, cur in zip(allgather, allgather[1:]):
-        if cur.get("comm_seconds", 0) <= prev.get("comm_seconds", 0) and (
-            cur.get("partitions", 0) > 1
-        ):
-            rc = fail(
-                f"all-gather comm seconds did not grow from "
-                f"P={prev.get('partitions')} to P={cur.get('partitions')}"
-            )
-    by_key = {point_key(p): p for p in fresh_points}
-    for p in sorted({k[0] for k in by_key} - {1}):
-        ag = by_key.get((p, "allgather"))
-        bf = by_key.get((p, "butterfly"))
-        if ag is None or bf is None:
             continue
-        if ag.get("bytes_on_wire") != bf.get("bytes_on_wire"):
-            rc = fail(f"schedules moved different byte volumes at P={p}")
-        if p >= 4 and bf.get("comm_seconds", 0) >= ag.get("comm_seconds", 0):
-            rc = fail(
-                f"butterfly did not beat the all-gather at P={p} "
-                f"({bf.get('comm_seconds')} vs {ag.get('comm_seconds')})"
-            )
-
-    # Banded: wall clock per point vs the committed run.
-    for point in fresh_points:
-        base = committed_points.get(point_key(point))
-        if base is None:
-            continue
-        want = base.get("wall_seconds")
-        got = point.get("wall_seconds")
-        if not want or not got:
-            continue
-        ratio = got / want
-        p, schedule = point_key(point)
-        status = "ok" if ratio <= args.tolerance else "REGRESSION"
+        if want[name]["better"] == "higher":
+            worse = value < base / tolerance
+        else:
+            worse = value > base * tolerance
+        ratio = value / base if base else float("inf")
         print(
-            f"check_bench: partition[P={p},{schedule}].wall_seconds: "
-            f"{got:.4f}s vs committed {want:.4f}s ({ratio:.2f}x, band "
-            f"{args.tolerance:.1f}x) {status}"
+            f"check_bench: {name}: {value:.6g} vs committed {base:.6g} "
+            f"{want[name]['unit']} ({ratio:.2f}x, {want[name]['better']} is "
+            f"better, band {tolerance:.1f}x) {'REGRESSION' if worse else 'ok'}"
         )
-        if ratio > args.tolerance:
-            rc = fail(
-                f"partition[P={p},{schedule}].wall_seconds {ratio:.2f}x "
-                f"over committed, band {args.tolerance:.1f}x"
+        if worse:
+            failures.append(
+                f"{name}: {ratio:.2f}x of committed, past the "
+                f"{tolerance:.1f}x band"
             )
-    if rc == 0:
-        print("check_bench: partition PASS")
-    return rc
+    return failures
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("root", help="repository root (holds the bench JSONs)")
-    parser.add_argument("--binary", default=None, help="gpusim_bench executable")
-    parser.add_argument(
-        "--fleet-binary", default=None, help="fleet_bench executable"
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument(
-        "--partition-binary", default=None, help="partition_bench executable"
-    )
-    parser.add_argument(
-        "--committed",
-        default=None,
-        help="committed bench JSON (default: ROOT/BENCH_gpusim.json or "
-        "ROOT/BENCH_fleet.json per mode)",
-    )
+    parser.add_argument("artifact", help="committed BENCH_*.json")
+    parser.add_argument("binary", help="bench executable that writes it")
     parser.add_argument(
         "--tolerance",
         type=float,
-        default=float(os.environ.get("IBFS_BENCH_TOLERANCE", "4.0")),
-        help="allowed wall-clock ratio vs committed (env IBFS_BENCH_TOLERANCE)",
-    )
-    parser.add_argument(
-        "--serve",
-        action="store_true",
-        help="also run the serve section and compare its checksum",
-    )
-    parser.add_argument(
-        "--elastic-only",
-        action="store_true",
-        help="fleet mode: run only the elastic + replication sections "
-        "(IBFS_FLEET_SECTIONS=elastic) and gate just those",
+        default=4.0,
+        help="allowed wall-clock factor in the worse direction (default 4)",
     )
     args = parser.parse_args()
-    if (
-        args.binary is None
-        and args.fleet_binary is None
-        and args.partition_binary is None
-    ):
-        print(
-            "check_bench: pass --binary, --fleet-binary, and/or "
-            "--partition-binary"
-        )
-        return 2
-    partition_rc = 0
-    if args.partition_binary is not None:
-        partition_rc = check_partition(args)
-        if partition_rc == 2 or (
-            args.binary is None and args.fleet_binary is None
-        ):
-            return partition_rc
-    if args.binary is None:
-        return check_fleet(args) or partition_rc
-    fleet_rc = 0
-    if args.fleet_binary is not None:
-        fleet_rc = check_fleet(args)
-        if fleet_rc == 2:
-            return 2
-
-    committed_path = args.committed or os.path.join(args.root, "BENCH_gpusim.json")
     try:
-        committed = load_committed(committed_path)
-    except OSError as e:
-        print(f"check_bench: cannot read {committed_path}: {e}")
+        committed = load_artifact(args.artifact)
+    except (OSError, ValueError) as e:
+        print(f"check_bench: cannot use {args.artifact}: {e}")
         return 2
 
-    config = committed.get("config", {})
     env = dict(os.environ)
-    # Reproduce the committed workload exactly; counters and sim seconds
-    # are only comparable at an identical configuration.
-    env["IBFS_GPUSIM_BENCH_SCALE"] = str(config.get("rmat_scale", 14))
-    env["IBFS_GPUSIM_BENCH_EDGES"] = str(config.get("edge_factor", 16))
-    env["IBFS_GPUSIM_BENCH_INSTANCES"] = str(config.get("instances", 256))
-    env["IBFS_GPUSIM_BENCH_GROUP"] = str(config.get("group_size", 64))
-    env["IBFS_GPUSIM_BENCH_REPEATS"] = "2"  # wall best-of only; counters exact
-    env["IBFS_GPUSIM_BENCH_SERVE"] = "1" if args.serve else "0"
-    env.pop("IBFS_GPUSIM_BENCH_BASELINE", None)
-
+    env.update({k: str(v) for k, v in committed["config"].items()})
     with tempfile.TemporaryDirectory() as tmp:
-        out_path = os.path.join(tmp, "bench.json")
-        env["IBFS_GPUSIM_BENCH_OUT"] = out_path
+        env["IBFS_BENCH_OUT"] = os.path.join(tmp, "bench.json")
         try:
-            subprocess.run(
-                [args.binary], env=env, check=True, stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT, timeout=600,
+            # The bench runs in the temp dir, so it leaves nothing behind.
+            run = subprocess.run(
+                [os.path.abspath(args.binary)], env=env, cwd=tmp, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, timeout=600,
             )
         except (subprocess.SubprocessError, OSError) as e:
-            print(f"check_bench: bench run failed: {e}")
+            print(f"check_bench: cannot run {args.binary}: {e}")
             return 2
-        with open(out_path, encoding="utf-8") as f:
-            fresh = json.load(f)
+        if run.returncode != 0:
+            print(run.stdout[-4000:])
+            print(f"check_bench: FAIL: {args.binary} exited "
+                  f"{run.returncode}")
+            return 1
+        try:
+            fresh = load_artifact(env["IBFS_BENCH_OUT"])
+        except (OSError, ValueError) as e:
+            print(f"check_bench: FAIL: no fresh artifact: {e}")
+            return 1
 
-    rc = 0
-    for section, keys in EXACT_KEYS.items():
-        for key in keys:
-            want = committed.get(section, {}).get(key)
-            got = fresh.get(section, {}).get(key)
-            if want != got:
-                rc = fail(
-                    f"{section}.{key}: fresh {got!r} != committed {want!r} "
-                    "(deterministic model output drifted)"
-                )
-    if args.serve:
-        want = committed.get("serve", {}).get("checksum")
-        got = fresh.get("serve", {}).get("checksum")
-        if want != got:
-            rc = fail(f"serve.checksum: fresh {got!r} != committed {want!r}")
-
-    for section, key in WALL_KEYS.items():
-        want = committed.get(section, {}).get(key)
-        got = fresh.get(section, {}).get(key)
-        if not want or not got:
-            continue
-        ratio = got / want
-        status = "ok" if ratio <= args.tolerance else "REGRESSION"
-        print(
-            f"check_bench: {section}.{key}: {got:.4f}s vs committed "
-            f"{want:.4f}s ({ratio:.2f}x, band {args.tolerance:.1f}x) {status}"
-        )
-        if ratio > args.tolerance:
-            rc = fail(
-                f"{section}.{key} {ratio:.2f}x over committed, "
-                f"band {args.tolerance:.1f}x"
-            )
-
-    rc = rc or fleet_rc or partition_rc
-    if rc == 0:
-        print("check_bench: PASS")
-    return rc
+    print(f"check_bench: {committed['bench']} committed on: "
+          f"{host_line(committed)}")
+    print(f"check_bench: {committed['bench']} fresh on:     "
+          f"{host_line(fresh)}")
+    failures = compare(committed, fresh, args.tolerance)
+    for failure in failures:
+        print(f"check_bench: FAIL: {failure}")
+    if failures:
+        return 1
+    print(f"check_bench: {committed['bench']} PASS "
+          f"({len(committed['metrics'])} metrics)")
+    return 0
 
 
 if __name__ == "__main__":
